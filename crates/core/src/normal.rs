@@ -22,7 +22,7 @@ use crate::desc::{Concept, IndRef, Path};
 use crate::error::{Clash, ClassicError, Result};
 use crate::host::Layer;
 use crate::same_as::SameAs;
-use crate::schema::Schema;
+use crate::schema::{Schema, SchemaCow};
 use crate::symbol::{PrimId, RoleId, SymbolTable, TestId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -719,9 +719,13 @@ impl fmt::Display for DisplayNf<'_> {
 /// assert_eq!(normalize(&split, &mut schema)?, normalize(&joined, &mut schema)?);
 /// # Ok::<(), classic_core::ClassicError>(())
 /// ```
-pub fn normalize(c: &Concept, schema: &mut Schema) -> Result<NormalForm> {
+///
+/// The schema is written only to register a primitive atom it has never
+/// seen; see [`SchemaCow`].
+pub fn normalize<S: SchemaCow>(c: &Concept, schema: &mut S) -> Result<NormalForm> {
     let mut nf = NormalForm::top();
     build(c, schema, &mut nf)?;
+    let schema = schema.schema();
     check_recursion(&nf, &schema.symbols)?;
     nf.renormalize(schema);
     if let Some(Clash::RecursiveCoreference { path }) = nf.clash() {
@@ -776,8 +780,13 @@ fn recursion_error(path: &Path, symbols: &SymbolTable) -> ClassicError {
 /// already knows. The paper's central example (§3.2): asserting `(CLOSE
 /// thing-driven)` on Rocky closes the role over Rocky's *currently known*
 /// fillers — it does not assert that the role is empty.
-pub fn conjoin_expression(c: &Concept, schema: &mut Schema, target: &mut NormalForm) -> Result<()> {
+pub fn conjoin_expression<S: SchemaCow>(
+    c: &Concept,
+    schema: &mut S,
+    target: &mut NormalForm,
+) -> Result<()> {
     build(c, schema, target)?;
+    let schema = schema.schema();
     check_recursion(target, &schema.symbols)?;
     target.renormalize(schema);
     if let Some(Clash::RecursiveCoreference { path }) = target.clash() {
@@ -787,7 +796,21 @@ pub fn conjoin_expression(c: &Concept, schema: &mut Schema, target: &mut NormalF
     Ok(())
 }
 
-fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
+/// Register (or re-validate) a primitive atom, writing the schema only
+/// when the atom or its grouping is new.
+fn register_prim<S: SchemaCow>(
+    schema: &mut S,
+    index: &str,
+    grouping: Option<&str>,
+    parent: &NormalForm,
+) -> Result<PrimId> {
+    match schema.schema().registered_prim(index, grouping, parent) {
+        Some(known) => known,
+        None => schema.schema_mut().register_prim(index, grouping, parent),
+    }
+}
+
+fn build<S: SchemaCow>(c: &Concept, schema: &mut S, nf: &mut NormalForm) -> Result<()> {
     if nf.is_incoherent() {
         return Ok(());
     }
@@ -801,22 +824,22 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             // not yet bound (so the old behavior was a confusing
             // `UndefinedConcept`), and binding it would require unfolding
             // it into itself — a recursive definition, forbidden (§2.2).
+            let schema = schema.schema();
             if schema.defining() == Some(*n) {
                 return Err(ClassicError::RecursiveDefinition(format!(
                     "concept {} refers to itself in its own definition",
                     schema.symbols.concept_name(*n)
                 )));
             }
-            let def = schema.concept_nf(*n)?.clone();
-            nf.merge_raw(&def);
+            nf.merge_raw(schema.concept_nf(*n)?);
         }
         Concept::Primitive { parent, index } => {
             let mut parent_nf = normalize(parent, schema)?;
-            let prim = schema.register_prim(index, None, &parent_nf)?;
+            let prim = register_prim(schema, index, None, &parent_nf)?;
             if parent_nf
                 .prims
                 .iter()
-                .any(|&q| schema.prims_disjoint(prim, q))
+                .any(|&q| schema.schema().prims_disjoint(prim, q))
             {
                 nf.make_incoherent(Clash::DisjointPrimitives(prim, prim));
                 return Ok(());
@@ -830,11 +853,11 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             index,
         } => {
             let mut parent_nf = normalize(parent, schema)?;
-            let prim = schema.register_prim(index, Some(grouping), &parent_nf)?;
+            let prim = register_prim(schema, index, Some(grouping), &parent_nf)?;
             if let Some(&q) = parent_nf
                 .prims
                 .iter()
-                .find(|&&q| schema.prims_disjoint(prim, q))
+                .find(|&&q| schema.schema().prims_disjoint(prim, q))
             {
                 nf.make_incoherent(Clash::DisjointPrimitives(prim, q));
                 return Ok(());
@@ -849,7 +872,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::All(r, inner) => {
-            schema.check_role(*r)?;
+            schema.schema().check_role(*r)?;
             let mut inner_nf = NormalForm::top();
             build(inner, schema, &mut inner_nf)?;
             let mut other = NormalForm::top();
@@ -863,7 +886,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::AtLeast(n, r) => {
-            schema.check_role(*r)?;
+            schema.schema().check_role(*r)?;
             let mut other = NormalForm::top();
             other.roles.insert(
                 *r,
@@ -875,7 +898,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::AtMost(n, r) => {
-            schema.check_role(*r)?;
+            schema.schema().check_role(*r)?;
             let mut other = NormalForm::top();
             other.roles.insert(
                 *r,
@@ -898,7 +921,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
                     return Err(ClassicError::EmptySameAsPath);
                 }
                 for &r in path {
-                    schema.check_role(r)?;
+                    schema.schema().check_role(r)?;
                 }
             }
             let mut other = NormalForm::top();
@@ -906,7 +929,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::Fills(r, inds) => {
-            schema.check_role(*r)?;
+            schema.schema().check_role(*r)?;
             let mut other = NormalForm::top();
             other.roles.insert(
                 *r,
@@ -918,7 +941,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::Close(r) => {
-            schema.check_role(*r)?;
+            schema.schema().check_role(*r)?;
             let mut other = NormalForm::top();
             other.roles.insert(
                 *r,
@@ -930,7 +953,7 @@ fn build(c: &Concept, schema: &mut Schema, nf: &mut NormalForm) -> Result<()> {
             nf.merge_raw(&other);
         }
         Concept::Test(t) => {
-            schema.check_test(*t)?;
+            schema.schema().check_test(*t)?;
             nf.tests.insert(*t);
         }
         Concept::And(parts) => {

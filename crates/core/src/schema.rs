@@ -12,9 +12,10 @@ use crate::desc::Concept;
 use crate::error::{ClassicError, Result};
 use crate::host::HostValue;
 use crate::normal::{normalize, NormalForm};
-use crate::symbol::{ConceptName, PrimId, RoleId, SymbolTable, TestId};
+use crate::symbol::{ConceptName, IndName, PrimId, RoleId, SymbolTable, TestId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Declaration attached to a role name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +39,9 @@ pub enum TestArg<'a> {
 }
 
 /// A registered test function. `Arc`, not `Box`: schemas are cloneable
-/// (server read snapshots clone whole KBs) and closures cannot be, so
-/// clones share the registered functions.
+/// (a knowledge base copies its schema on the first change after a
+/// snapshot shared it) and closures cannot be, so clones share the
+/// registered functions.
 pub type TestFn = std::sync::Arc<dyn Fn(&TestArg<'_>) -> bool + Send + Sync>;
 
 /// A stored named-concept definition.
@@ -256,6 +258,32 @@ impl Schema {
 
     // ---- primitives -----------------------------------------------------
 
+    /// Re-validate an already registered primitive atom without writing:
+    /// `None` when registering it would change the schema (a new atom or
+    /// grouping), so the caller must go through [`Self::register_prim`].
+    pub(crate) fn registered_prim(
+        &self,
+        index: &str,
+        grouping: Option<&str>,
+        parent: &NormalForm,
+    ) -> Option<Result<PrimId>> {
+        let key = match grouping {
+            Some(g) => format!("{g}/{index}"),
+            None => index.to_owned(),
+        };
+        let id = self.symbols.find_prim(&key)?;
+        let group = match grouping {
+            Some(g) => Some(*self.groups.get(g)?),
+            None => None,
+        };
+        let info = &self.prims[id.index()];
+        Some(if info.group != group || info.parent != *parent {
+            Err(ClassicError::PrimitiveReparented(id))
+        } else {
+            Ok(id)
+        })
+    }
+
     /// Register (or re-validate) a primitive atom. Called by normalization
     /// when it encounters `PRIMITIVE`/`DISJOINT-PRIMITIVE`.
     pub(crate) fn register_prim(
@@ -367,6 +395,65 @@ impl Schema {
             .get(t.index())
             .map(|f| f(arg))
             .ok_or(ClassicError::UndefinedTest(t))
+    }
+}
+
+/// Copy-on-write access to a [`Schema`]. Reads go through
+/// [`SchemaCow::schema`]; [`SchemaCow::schema_mut`] is taken only for a
+/// real change. For a plain `Schema` both are the schema itself; for an
+/// `Arc<Schema>` that a snapshot still shares, `schema_mut` copies it
+/// first (`Arc::make_mut`). The name helpers look a name up read-only and
+/// intern it only when it is new, so resolving or normalizing an
+/// expression over known names never copies a shared schema.
+pub trait SchemaCow {
+    /// The schema, for reading.
+    fn schema(&self) -> &Schema;
+
+    /// The schema, for writing (copied first if it is shared).
+    fn schema_mut(&mut self) -> &mut Schema;
+
+    /// The id of role `name`, interning it only if it is new.
+    fn role(&mut self, name: &str) -> RoleId {
+        match self.schema().symbols.find_role(name) {
+            Some(id) => id,
+            None => self.schema_mut().symbols.role(name),
+        }
+    }
+
+    /// The id of concept `name`, interning it only if it is new.
+    fn concept(&mut self, name: &str) -> ConceptName {
+        match self.schema().symbols.find_concept(name) {
+            Some(id) => id,
+            None => self.schema_mut().symbols.concept(name),
+        }
+    }
+
+    /// The id of individual `name`, interning it only if it is new.
+    fn individual(&mut self, name: &str) -> IndName {
+        match self.schema().symbols.find_individual(name) {
+            Some(id) => id,
+            None => self.schema_mut().symbols.individual(name),
+        }
+    }
+}
+
+impl SchemaCow for Schema {
+    fn schema(&self) -> &Schema {
+        self
+    }
+
+    fn schema_mut(&mut self) -> &mut Schema {
+        self
+    }
+}
+
+impl SchemaCow for Arc<Schema> {
+    fn schema(&self) -> &Schema {
+        self
+    }
+
+    fn schema_mut(&mut self) -> &mut Schema {
+        Arc::make_mut(self)
     }
 }
 

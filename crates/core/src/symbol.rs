@@ -166,6 +166,11 @@ impl SymbolTable {
         self.tests.get(name).map(TestId)
     }
 
+    /// Look up an already-interned primitive-atom key.
+    pub fn find_prim(&self, key: &str) -> Option<PrimId> {
+        self.prims.get(key).map(PrimId)
+    }
+
     /// The role name for `id`.
     pub fn role_name(&self, id: RoleId) -> &str {
         self.roles.resolve(id.0)

@@ -48,7 +48,7 @@ use crate::kb::{AssertReport, Journal, Kb};
 use crate::propagate::Propagation;
 use classic_core::desc::Concept;
 use classic_core::normal::{conjoin_expression, NormalForm};
-use classic_core::schema::Schema;
+use classic_core::schema::{Schema, SchemaCow};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Default rows per batched fixpoint. Large enough to amortize the
@@ -263,7 +263,7 @@ impl Kb {
         let mut enqueued: BTreeSet<IndId> = BTreeSet::new();
         let mut staged_ok = true;
         for row in chunk {
-            let iname = self.schema.symbols.individual(&row.name);
+            let iname = self.schema.individual(&row.name);
             let id = self.ensure_ind(iname, &mut journal);
             journal.touch(self, id);
             self.ensure_referenced_inds_pub(&row.desc, &mut journal);
@@ -313,7 +313,7 @@ impl Kb {
     /// and `assert-ind` as **one** transaction, so a rejection rolls
     /// back the target's creation too and the row leaves no trace.
     fn bulk_row_sequential(&mut self, row_ix: usize, row: &BulkRow, report: &mut BulkReport) {
-        let iname = self.schema.symbols.individual(&row.name);
+        let iname = self.schema.individual(&row.name);
         let mut journal = Journal::default();
         let id = self.ensure_ind(iname, &mut journal);
         match self.assert_txn(id, &row.desc, &mut journal) {
@@ -385,7 +385,7 @@ mod tests {
     /// normal forms and told-fact counts.
     fn assert_same_abox(a: &Kb, b: &Kb) {
         assert_eq!(a.inds.len(), b.inds.len(), "individual count");
-        for (iname, &ida) in &a.by_name {
+        for (iname, &ida) in a.by_name.iter() {
             let idb = *b.by_name.get(iname).expect("name present in both");
             let (ia, ib) = (&a.inds[ida.index()], &b.inds[idb.index()]);
             assert_eq!(ia.told.len(), ib.told.len(), "told count");

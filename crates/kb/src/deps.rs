@@ -39,9 +39,10 @@
 //! sequential engine's policy exactly, so the journal after a sharded
 //! fixpoint equals the journal after a sequential one.
 
+use crate::cow::CowVec;
 use crate::individual::IndId;
 use classic_core::symbol::RoleId;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How a piece of derived information reached an individual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,24 +86,33 @@ pub struct Support {
 
 /// The persistent support graph, keyed by target. Committed supports only;
 /// in-flight supports live on the transaction journal until commit.
+///
+/// Both tables are dense, copy-on-write per-individual vectors (one entry
+/// per individual in the arena), so a KB clone shares them entry by
+/// entry and a later commit copies only the entries it changes.
 #[derive(Debug, Default, Clone)]
 pub struct DependencyJournal {
-    records: HashMap<IndId, BTreeSet<Support>>,
+    records: CowVec<BTreeSet<Support>>,
     /// Maintained source→target edge refcounts (distinct supports per
     /// pair), so [`Self::affected_from`] walks only the closure instead
     /// of scanning the whole journal. Self-edges are not indexed: they
     /// never grow the closure.
-    by_source: HashMap<IndId, HashMap<IndId, u32>>,
+    by_source: CowVec<BTreeMap<IndId, u32>>,
 }
 
 impl DependencyJournal {
-    /// Insert one record (idempotent — the set deduplicates).
+    /// Insert one record (idempotent). Re-recording a known support —
+    /// the common case, since supports are recorded whenever their
+    /// mechanism applies — reads only, so it leaves shared entries
+    /// shared.
     pub(crate) fn insert(&mut self, s: Support) {
-        if self.records.entry(s.target).or_default().insert(s) && s.source != s.target {
-            *self
-                .by_source
-                .entry(s.source)
-                .or_default()
+        let t = s.target.index();
+        if self.records[t].contains(&s) {
+            return;
+        }
+        self.records[t].insert(s);
+        if s.source != s.target {
+            *self.by_source[s.source.index()]
                 .entry(s.target)
                 .or_insert(0) += 1;
         }
@@ -117,17 +127,17 @@ impl DependencyJournal {
 
     /// The committed supports of one individual (why it is what it is).
     pub fn supports_of(&self, target: IndId) -> impl Iterator<Item = &Support> {
-        self.records.get(&target).into_iter().flatten()
+        self.records.get(target.index()).into_iter().flatten()
     }
 
     /// Total number of committed support records (diagnostics/E10).
     pub fn len(&self) -> usize {
-        self.records.values().map(|s| s.len()).sum()
+        self.records.iter().map(BTreeSet::len).sum()
     }
 
     /// Whether the journal holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.values().all(|s| s.is_empty())
+        self.records.iter().all(BTreeSet::is_empty)
     }
 
     /// Forward dependency closure: every individual whose derived state
@@ -141,7 +151,7 @@ impl DependencyJournal {
         let mut closed: BTreeSet<IndId> = seeds.clone();
         let mut work: VecDeque<IndId> = seeds.iter().copied().collect();
         while let Some(id) = work.pop_front() {
-            if let Some(targets) = self.by_source.get(&id) {
+            if let Some(targets) = self.by_source.get(id.index()) {
                 for &t in targets.keys() {
                     if closed.insert(t) {
                         work.push_back(t);
@@ -159,27 +169,41 @@ impl DependencyJournal {
     pub(crate) fn remove_targets(&mut self, set: &BTreeSet<IndId>) -> Vec<Support> {
         let mut removed = Vec::new();
         for id in set {
-            if let Some(supports) = self.records.remove(id) {
-                removed.extend(supports);
+            if !self.records[id.index()].is_empty() {
+                removed.extend(std::mem::take(&mut self.records[id.index()]));
             }
         }
         for s in &removed {
             if s.source == s.target {
                 continue;
             }
-            if let Some(targets) = self.by_source.get_mut(&s.source) {
-                if let Some(count) = targets.get_mut(&s.target) {
-                    *count -= 1;
-                    if *count == 0 {
-                        targets.remove(&s.target);
-                    }
-                }
-                if targets.is_empty() {
-                    self.by_source.remove(&s.source);
+            let targets = &mut self.by_source[s.source.index()];
+            if let Some(count) = targets.get_mut(&s.target) {
+                *count -= 1;
+                if *count == 0 {
+                    targets.remove(&s.target);
                 }
             }
         }
         removed
+    }
+
+    /// Add the (empty) entries of a newly created individual.
+    pub(crate) fn push_individual(&mut self) {
+        self.records.push(BTreeSet::new());
+        self.by_source.push(BTreeMap::new());
+    }
+
+    /// Drop the entries of individuals at `len` and above (creations a
+    /// rollback undid; they hold no committed records).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.records.truncate(len);
+        self.by_source.truncate(len);
+    }
+
+    /// How many per-individual entries are not shared with `other`.
+    pub(crate) fn unshared_with(&self, other: &DependencyJournal) -> usize {
+        self.records.unshared_with(&other.records) + self.by_source.unshared_with(&other.by_source)
     }
 }
 

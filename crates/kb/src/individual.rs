@@ -60,6 +60,8 @@ pub struct Individual {
     /// grows, but a recorded success never needs re-running (monotone).
     /// Interior-mutable so instance checks can run under `&Kb`; a mutex
     /// (not a `RefCell`) so parallel retrieval workers can share the KB.
+    /// A record shared by KB clones shares this cache too, which stays
+    /// sound (see `Kb::clone`).
     pub test_hits: Mutex<HashMap<TestId, bool>>,
 }
 

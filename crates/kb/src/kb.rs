@@ -11,14 +11,20 @@
 //! because of constraint violations" (§3.1). A rejected `assert-ind` (or
 //! `assert-rule`) rolls back every propagated consequence via an internal
 //! journal of first-touch snapshots.
+//!
+//! The logical state is copy-on-write (see the `CowVec` in `cow.rs`):
+//! cloning a `Kb` shares every individual record, extension set,
+//! dependency entry and the schema/taxonomy/rule tables with the
+//! original, and each side copies an entry only when it first writes it.
 
+use crate::cow::{CowVec, IdSet};
 use crate::deps::{DependencyJournal, RetractReport, Support, SupportKind};
 use crate::individual::{IndId, Individual};
 use crate::propagate::Propagation;
 use classic_core::desc::{Concept, IndRef};
 use classic_core::error::{ClassicError, Result};
 use classic_core::normal::{conjoin_expression, NormalForm};
-use classic_core::schema::{Schema, TestArg};
+use classic_core::schema::{Schema, SchemaCow, TestArg};
 use classic_core::symbol::{ConceptName, IndName, RoleId, TestId};
 use classic_core::taxonomy::{NodeId, Taxonomy};
 use classic_obs::{FlightRecorder, Histogram, Registry};
@@ -156,8 +162,10 @@ pub struct AssertReport {
 /// Rollback journal for one update transaction.
 #[derive(Default)]
 pub(crate) struct Journal {
-    /// First-touch snapshots of modified individuals.
-    touched: HashMap<IndId, Individual>,
+    /// First-touch versions of modified individuals: the shared record
+    /// itself (a pointer copy). Holding it makes the first write to the
+    /// individual copy it, so the saved version stays intact.
+    touched: HashMap<IndId, Arc<Individual>>,
     /// Individuals created during the transaction (in creation order —
     /// they occupy the arena tail).
     created: Vec<IndId>,
@@ -177,7 +185,8 @@ pub(crate) struct Journal {
 impl Journal {
     pub(crate) fn touch(&mut self, kb: &Kb, id: IndId) {
         if !self.touched.contains_key(&id) && !self.created.contains(&id) {
-            self.touched.insert(id, kb.inds[id.index()].clone());
+            self.touched
+                .insert(id, Arc::clone(kb.inds.shared(id.index())));
         }
     }
 
@@ -222,19 +231,24 @@ impl Journal {
 /// ```
 #[derive(Debug)]
 pub struct Kb {
-    pub(crate) schema: Schema,
-    pub(crate) taxonomy: Taxonomy,
-    pub(crate) inds: Vec<Individual>,
-    pub(crate) by_name: HashMap<IndName, IndId>,
+    /// Written (and, if a clone shares it, copied) only to define or
+    /// intern something new.
+    pub(crate) schema: Arc<Schema>,
+    /// Written only by `define-concept`. Its subsumption kernel is
+    /// interior-mutable and stays shared between clones: the memo holds
+    /// pure facts about interned normal forms, true in every clone.
+    pub(crate) taxonomy: Arc<Taxonomy>,
+    pub(crate) inds: CowVec<Individual>,
+    pub(crate) by_name: Arc<HashMap<IndName, IndId>>,
     /// Direct extensions: for each taxonomy node, the individuals whose
     /// *most specific* concepts include it. Instances of a node = direct
     /// extensions of the node and all its descendants.
-    pub(crate) extensions: Vec<BTreeSet<IndId>>,
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) rules_by_node: HashMap<NodeId, Vec<usize>>,
+    pub(crate) extensions: CowVec<IdSet>,
+    pub(crate) rules: Arc<Vec<Rule>>,
+    pub(crate) rules_by_node: Arc<HashMap<NodeId, Vec<usize>>>,
     /// filler → individuals having it as a role filler (the reclassification
-    /// cascade of §5 walks this).
-    pub(crate) reverse_fillers: HashMap<IndId, BTreeSet<IndId>>,
+    /// cascade of §5 walks this); one entry per individual.
+    pub(crate) reverse_fillers: CowVec<BTreeSet<IndId>>,
     /// Committed dependency records: why each individual's derived state
     /// is what it is. Consulted by retraction and `explain_provenance`.
     pub(crate) deps: DependencyJournal,
@@ -274,23 +288,40 @@ impl Default for Kb {
 }
 
 impl Clone for Kb {
-    /// Deep-copy the logical state (schema, taxonomy, individuals, rules,
-    /// dependency journal) while *sharing* the observability handles: the
-    /// metric registry, flight recorder, and duration histograms are
-    /// `Arc`'d, so a clone's operations keep counting against the original
-    /// KB's series. This is exactly what a server read snapshot wants —
-    /// queries against the snapshot show up in the tenant's metrics — and
-    /// it avoids enrolling throwaway registries in the process-global
-    /// roll-up for every snapshot taken.
+    /// Cut a copy-on-write clone. The logical state (schema, taxonomy,
+    /// individuals, extensions, rules, reverse-filler and dependency
+    /// tables) is *shared*, not copied: the clone costs one pointer copy
+    /// per 64-entry chunk of each table (see `cow.rs`), and
+    /// afterwards each side copies an entry only on its first write to
+    /// it — a later `assert-ind` on the original pays O(entries it
+    /// dirties), and the clone never sees it. Dropping a clone frees only
+    /// what it no longer shares.
+    ///
+    /// The observability handles are shared too: the metric registry,
+    /// flight recorder, and duration histograms are `Arc`'d, so a clone's
+    /// operations keep counting against the original KB's series. This is
+    /// exactly what a server read snapshot wants — queries against the
+    /// snapshot show up in the tenant's metrics — and it avoids enrolling
+    /// throwaway registries in the process-global roll-up for every
+    /// snapshot taken.
+    ///
+    /// Two caches stay interior-mutable while shared, and both remain
+    /// sound. The taxonomy's subsumption kernel memoizes pure facts about
+    /// interned normal forms. An individual's `test_hits` caches only
+    /// *positive* `TEST` outcomes; a shared record is identical in both
+    /// KBs, so a hit recorded through either holds for both; and
+    /// retraction, the one operation that can shrink a description,
+    /// clears the cache on the writer's private copy of the record (the
+    /// first write unshares it), never on the copy a clone still holds.
     fn clone(&self) -> Kb {
         Kb {
-            schema: self.schema.clone(),
-            taxonomy: self.taxonomy.clone(),
+            schema: Arc::clone(&self.schema),
+            taxonomy: Arc::clone(&self.taxonomy),
             inds: self.inds.clone(),
-            by_name: self.by_name.clone(),
+            by_name: Arc::clone(&self.by_name),
             extensions: self.extensions.clone(),
-            rules: self.rules.clone(),
-            rules_by_node: self.rules_by_node.clone(),
+            rules: Arc::clone(&self.rules),
+            rules_by_node: Arc::clone(&self.rules_by_node),
             reverse_fillers: self.reverse_fillers.clone(),
             deps: self.deps.clone(),
             stats: self.stats.clone(),
@@ -331,16 +362,19 @@ impl Kb {
             "classic_propagate_fixpoint_ns",
             "propagation fixpoint wall time (ns)",
         );
-        let extensions = vec![BTreeSet::new(); taxonomy.len()];
+        let mut extensions = CowVec::default();
+        for _ in 0..taxonomy.len() {
+            extensions.push(IdSet::default());
+        }
         Kb {
-            schema: Schema::new(),
-            taxonomy,
-            inds: Vec::new(),
-            by_name: HashMap::new(),
+            schema: Arc::new(Schema::new()),
+            taxonomy: Arc::new(taxonomy),
+            inds: CowVec::default(),
+            by_name: Arc::new(HashMap::new()),
             extensions,
-            rules: Vec::new(),
-            rules_by_node: HashMap::new(),
-            reverse_fillers: HashMap::new(),
+            rules: Arc::new(Vec::new()),
+            rules_by_node: Arc::new(HashMap::new()),
+            reverse_fillers: CowVec::default(),
             deps: DependencyJournal::default(),
             stats,
             obs,
@@ -398,8 +432,11 @@ impl Kb {
     }
 
     /// Mutable schema access (interning names for ad-hoc expressions).
+    /// Copies the schema first if a clone still shares it; to resolve an
+    /// expression, pass the `Kb` itself as the [`SchemaCow`], which
+    /// writes only for a name the KB has never seen.
     pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
+        Arc::make_mut(&mut self.schema)
     }
 
     /// The IS-A hierarchy over the defined concepts.
@@ -470,7 +507,8 @@ impl Kb {
         &self.deps
     }
 
-    /// Normalize an ad-hoc concept expression against this KB's schema.
+    /// Normalize an ad-hoc concept expression against this KB's schema
+    /// (written only to register a primitive atom it has never seen).
     pub fn normalize(&mut self, c: &Concept) -> Result<NormalForm> {
         classic_core::normal::normalize(c, &mut self.schema)
     }
@@ -479,12 +517,12 @@ impl Kb {
 
     /// `define-role[name]` (§3.1).
     pub fn define_role(&mut self, name: &str) -> Result<RoleId> {
-        self.schema.define_role(name)
+        self.schema_mut().define_role(name)
     }
 
     /// Declare a single-valued role, usable in `SAME-AS` chains.
     pub fn define_attribute(&mut self, name: &str) -> Result<RoleId> {
-        self.schema.define_attribute(name)
+        self.schema_mut().define_attribute(name)
     }
 
     /// Register a host-language `TEST` function (§2.1.4).
@@ -492,7 +530,7 @@ impl Kb {
     where
         F: Fn(&TestArg<'_>) -> bool + Send + Sync + 'static,
     {
-        self.schema.register_test(name, f)
+        self.schema_mut().register_test(name, f)
     }
 
     /// `define-concept[name, expr]` (§3.1): normalize, store, classify into
@@ -500,11 +538,11 @@ impl Kb {
     /// satisfy the new definition — the schema can grow "any time it seems
     /// useful" and the data immediately reflects it.
     pub fn define_concept(&mut self, name: &str, told: Concept) -> Result<ConceptName> {
-        let cname = self.schema.define_concept(name, told)?;
+        let cname = self.schema_mut().define_concept(name, told)?;
         let nf = self.schema.concept_nf(cname)?.clone();
-        let (node, _) = self.taxonomy.insert(cname, nf);
+        let (node, _) = Arc::make_mut(&mut self.taxonomy).insert(cname, nf);
         while self.extensions.len() < self.taxonomy.len() {
-            self.extensions.push(BTreeSet::new());
+            self.extensions.push(IdSet::default());
         }
         // Candidates for recognition: individuals already recognized under
         // every parent of the new node (any instance of the new concept
@@ -534,7 +572,7 @@ impl Kb {
     /// nothing is known (except that it is a THING)". Establishes identity
     /// independent of properties.
     pub fn create_ind(&mut self, name: &str) -> Result<IndId> {
-        let iname = self.schema.symbols.individual(name);
+        let iname = self.schema.individual(name);
         if self.by_name.contains_key(&iname) {
             return Err(ClassicError::IndividualExists(iname));
         }
@@ -544,7 +582,9 @@ impl Kb {
     pub(crate) fn create_ind_unchecked(&mut self, iname: IndName) -> IndId {
         let id = IndId::from_index(self.inds.len());
         self.inds.push(Individual::new(iname));
-        self.by_name.insert(iname, id);
+        self.reverse_fillers.push(BTreeSet::new());
+        self.deps.push_individual();
+        Arc::make_mut(&mut self.by_name).insert(iname, id);
         self.realize(id);
         id
     }
@@ -592,7 +632,7 @@ impl Kb {
     /// # Ok::<(), classic_core::ClassicError>(())
     /// ```
     pub fn assert_ind(&mut self, name: &str, desc: &Concept) -> Result<AssertReport> {
-        let iname = self.schema.symbols.individual(name);
+        let iname = self.schema.individual(name);
         let id = self.ind_id(iname)?;
         self.assert_ind_by_id(id, desc)
     }
@@ -676,7 +716,7 @@ impl Kb {
     /// accept-or-reject update model: the same journal that makes rejected
     /// updates atomic (§3.4) makes accepted ones reversible for free.
     pub fn what_if(&mut self, name: &str, desc: &Concept) -> Result<AssertReport> {
-        let iname = self.schema.symbols.individual(name);
+        let iname = self.schema.individual(name);
         let id = self.ind_id(iname)?;
         let mut journal = Journal::default();
         let result = self.assert_txn(id, desc, &mut journal);
@@ -702,7 +742,7 @@ impl Kb {
     /// order-dependent `CLOSE` told facts) is rejected atomically, like a
     /// failing `assert-ind`.
     pub fn retract_ind(&mut self, name: &str, desc: &Concept) -> Result<RetractReport> {
-        let iname = self.schema.symbols.individual(name);
+        let iname = self.schema.individual(name);
         let id = self.ind_id(iname)?;
         self.retract_ind_by_id(id, desc)
     }
@@ -750,11 +790,9 @@ impl Kb {
         let mut enqueue = reset.clone();
         let mut frontier: VecDeque<IndId> = reset.iter().copied().collect();
         while let Some(i) = frontier.pop_front() {
-            if let Some(hosts) = self.reverse_fillers.get(&i) {
-                for &h in hosts {
-                    if enqueue.insert(h) {
-                        frontier.push_back(h);
-                    }
+            for h in self.hosts_of(i) {
+                if enqueue.insert(h) {
+                    frontier.push_back(h);
                 }
             }
         }
@@ -768,21 +806,27 @@ impl Kb {
         journal
             .supports_removed
             .extend(self.deps.remove_targets(&reset));
+        // An edge is only ever added for a classic filler of its host's
+        // derived form, which grows until the host is reset (here), so
+        // the edges a reset individual hosts are found from its own
+        // fillers — O(cone), not a scan of every entry.
         let mut stale_edges: Vec<(IndId, IndId)> = Vec::new();
-        for (filler, hosts) in &self.reverse_fillers {
-            for h in hosts {
-                if reset.contains(h) {
-                    stale_edges.push((*filler, *h));
+        for &h in &reset {
+            for rr in self.inds[h.index()].derived.roles.values() {
+                for f in &rr.fillers {
+                    let IndRef::Classic(name) = f else { continue };
+                    if let Some(&fid) = self.by_name.get(name) {
+                        if self.reverse_fillers[fid.index()].contains(&h) {
+                            stale_edges.push((fid, h));
+                        }
+                    }
                 }
             }
         }
+        stale_edges.sort_unstable();
+        stale_edges.dedup();
         for (filler, host) in &stale_edges {
-            if let Some(set) = self.reverse_fillers.get_mut(filler) {
-                set.remove(host);
-                if set.is_empty() {
-                    self.reverse_fillers.remove(filler);
-                }
-            }
+            self.reverse_fillers[filler.index()].remove(host);
         }
         journal.reverse_removed.extend(stale_edges);
         // Reset each member to its surviving told facts. Monotone caches
@@ -800,10 +844,13 @@ impl Kb {
                     kind: SupportKind::Told { index: ix },
                 });
             }
+            // The first write unshares the record, so this clears only
+            // this KB's copy of the TEST cache; a clone sharing the old
+            // record keeps hits that still hold for its description.
             let ind = &mut self.inds[i.index()];
             ind.derived = derived;
             ind.fired_rules.clear();
-            ind.test_hits.lock().expect("test cache lock").clear();
+            ind.test_hits.get_mut().expect("test cache lock").clear();
         }
         // Propagate the whole affected region back to a fixed point.
         let mut report = AssertReport::default();
@@ -828,11 +875,9 @@ impl Kb {
         let mut cone = self.deps.affected_from(seeds);
         let mut frontier: VecDeque<IndId> = cone.iter().copied().collect();
         while let Some(i) = frontier.pop_front() {
-            if let Some(hosts) = self.reverse_fillers.get(&i) {
-                for &h in hosts {
-                    if cone.insert(h) {
-                        frontier.push_back(h);
-                    }
+            for h in self.hosts_of(i) {
+                if cone.insert(h) {
+                    frontier.push_back(h);
                 }
             }
         }
@@ -847,7 +892,7 @@ impl Kb {
     /// (§5). If applying the rule makes any individual inconsistent the
     /// rule is rejected and the database left unchanged.
     pub fn assert_rule(&mut self, antecedent: &str, consequent: Concept) -> Result<usize> {
-        let cname = self.schema.symbols.concept(antecedent);
+        let cname = self.schema.concept(antecedent);
         let node = self
             .taxonomy
             .node_of(cname)
@@ -855,13 +900,16 @@ impl Kb {
         // Validate the consequent normalizes at all.
         classic_core::normal::normalize(&consequent, &mut self.schema)?;
         let rule_ix = self.rules.len();
-        self.rules.push(Rule {
+        Arc::make_mut(&mut self.rules).push(Rule {
             antecedent: cname,
             node,
             consequent,
             retired: false,
         });
-        self.rules_by_node.entry(node).or_default().push(rule_ix);
+        Arc::make_mut(&mut self.rules_by_node)
+            .entry(node)
+            .or_default()
+            .push(rule_ix);
 
         let mut journal = Journal::default();
         let instances: Vec<IndId> = self.instances_of_node(node).into_iter().collect();
@@ -877,9 +925,11 @@ impl Kb {
             }
             Err(e) => {
                 self.rollback(journal);
-                let ix = self.rules_by_node.get_mut(&node).expect("just added");
+                let ix = Arc::make_mut(&mut self.rules_by_node)
+                    .get_mut(&node)
+                    .expect("just added");
                 ix.retain(|&r| r != rule_ix);
-                self.rules.pop();
+                Arc::make_mut(&mut self.rules).pop();
                 Err(e)
             }
         }
@@ -896,7 +946,7 @@ impl Kb {
         antecedent: &str,
         consequent: &Concept,
     ) -> Result<RetractReport> {
-        let cname = self.schema.symbols.concept(antecedent);
+        let cname = self.schema.concept(antecedent);
         let Some(rule_ix) = self
             .rules
             .iter()
@@ -936,8 +986,8 @@ impl Kb {
     fn retract_rule_at(&mut self, rule_ix: usize) -> Result<RetractReport> {
         let _span = classic_obs::span_timed(&self.recorder, "kb.retract_rule", &self.retract_ns);
         let node = self.rules[rule_ix].node;
-        self.rules[rule_ix].retired = true;
-        if let Some(ix) = self.rules_by_node.get_mut(&node) {
+        Arc::make_mut(&mut self.rules)[rule_ix].retired = true;
+        if let Some(ix) = Arc::make_mut(&mut self.rules_by_node).get_mut(&node) {
             ix.retain(|&r| r != rule_ix);
         }
         let seeds: BTreeSet<IndId> = self
@@ -952,8 +1002,11 @@ impl Kb {
             }
             Err(e) => {
                 self.rollback(journal);
-                self.rules[rule_ix].retired = false;
-                self.rules_by_node.entry(node).or_default().push(rule_ix);
+                Arc::make_mut(&mut self.rules)[rule_ix].retired = false;
+                Arc::make_mut(&mut self.rules_by_node)
+                    .entry(node)
+                    .or_default()
+                    .push(rule_ix);
                 Err(e)
             }
         }
@@ -994,9 +1047,9 @@ impl Kb {
         if node == NodeId::TOP {
             return self.ind_ids().collect();
         }
-        let mut out = self.extensions[node.index()].clone();
+        let mut out: BTreeSet<IndId> = self.extensions[node.index()].iter().collect();
         for d in self.taxonomy.strict_descendants(node) {
-            out.extend(self.extensions[d.index()].iter().copied());
+            out.extend(self.extensions[d.index()].iter());
         }
         out
     }
@@ -1011,11 +1064,11 @@ impl Kb {
             }
             return;
         }
-        for id in self.extensions[node.index()].iter().copied() {
+        for id in self.extensions[node.index()].iter() {
             f(id);
         }
         for d in self.taxonomy.strict_descendants(node) {
-            for id in self.extensions[d.index()].iter().copied() {
+            for id in self.extensions[d.index()].iter() {
                 f(id);
             }
         }
@@ -1044,9 +1097,10 @@ impl Kb {
         Ok(self.instances_of_node(node))
     }
 
-    /// Direct extension of one node (individuals whose msc includes it).
-    pub fn direct_extension(&self, node: NodeId) -> &BTreeSet<IndId> {
-        &self.extensions[node.index()]
+    /// Direct extension of one node (individuals whose msc includes it),
+    /// materialized.
+    pub fn direct_extension(&self, node: NodeId) -> BTreeSet<IndId> {
+        self.extensions[node.index()].iter().collect()
     }
 
     // ---- diagnostics ------------------------------------------------------------
@@ -1073,7 +1127,7 @@ impl Kb {
                 return fail(format!("individual {:?} is incoherent", ind.name));
             }
             for &node in &ind.msc {
-                if !self.extensions[node.index()].contains(&id) {
+                if !self.extensions[node.index()].contains(id) {
                     return fail(format!(
                         "extension index missing {:?} at node {}",
                         ind.name,
@@ -1106,7 +1160,7 @@ impl Kb {
         let mut all_nodes: Vec<NodeId> = vec![NodeId::TOP, NodeId::BOTTOM];
         all_nodes.extend(self.taxonomy.interior_nodes());
         for node in all_nodes {
-            for &id in &self.extensions[node.index()] {
+            for id in self.extensions[node.index()].iter() {
                 if !self.ind(id).msc.contains(&node) {
                     return fail(format!(
                         "extension at node {} lists a non-member individual",
@@ -1130,40 +1184,125 @@ impl Kb {
         // remove an edge and then re-add the same edge during
         // re-propagation, and the pre-transaction state has the edge.
         for (filler, host) in journal.reverse_added.into_iter().rev() {
-            if let Some(set) = self.reverse_fillers.get_mut(&filler) {
-                set.remove(&host);
-                if set.is_empty() {
-                    self.reverse_fillers.remove(&filler);
-                }
-            }
+            self.reverse_fillers[filler.index()].remove(&host);
         }
         // Restore reverse-filler edges removed by a failed retraction.
         for (filler, host) in journal.reverse_removed {
-            self.reverse_fillers.entry(filler).or_default().insert(host);
+            self.reverse_fillers[filler.index()].insert(host);
         }
         // Remove individuals created during the transaction (arena tail).
         for id in journal.created.into_iter().rev() {
             let ind = self.inds.pop().expect("created individual present");
-            self.by_name.remove(&ind.name);
-            for n in &ind.msc {
-                self.extensions[n.index()].remove(&id);
-            }
-            self.reverse_fillers.remove(&id);
+            Arc::make_mut(&mut self.by_name).remove(&ind.name);
+            self.move_extension(id, &ind.msc, &BTreeSet::new());
         }
-        // Restore touched individuals and their extension entries.
+        self.reverse_fillers.truncate(self.inds.len());
+        self.deps.truncate(self.inds.len());
+        // Put touched individuals back — the saved shared records, by
+        // pointer, so nothing is copied only to be overwritten and a
+        // record a snapshot shares is never written. Individuals the
+        // transaction never wrote still hold their saved record.
         for (id, old) in journal.touched {
-            if id.index() >= self.inds.len() {
-                continue; // was a created individual, already popped
+            if id.index() >= self.inds.len() || Arc::ptr_eq(self.inds.shared(id.index()), &old) {
+                continue; // popped above, or never written
             }
-            let cur_msc: Vec<NodeId> = self.inds[id.index()].msc.iter().copied().collect();
-            for n in cur_msc {
-                self.extensions[n.index()].remove(&id);
-            }
-            for n in &old.msc {
-                self.extensions[n.index()].insert(id);
-            }
-            self.inds[id.index()] = old;
+            let cur_msc = self.inds[id.index()].msc.clone();
+            self.move_extension(id, &cur_msc, &old.msc);
+            self.inds.set(id.index(), old);
         }
+    }
+
+    /// Move `id` in the extension index from the `old` most-specific
+    /// frontier to the `new` one, writing only the node sets that change.
+    pub(crate) fn move_extension(
+        &mut self,
+        id: IndId,
+        old: &BTreeSet<NodeId>,
+        new: &BTreeSet<NodeId>,
+    ) {
+        for n in old.difference(new) {
+            self.extensions[n.index()].remove(id);
+        }
+        for n in new.difference(old) {
+            self.extensions[n.index()].insert(id);
+        }
+    }
+
+    /// Record that `host` holds `filler` as a role filler. Returns whether
+    /// the edge is new; a known edge is only read, so the entry stays
+    /// shared with any clone.
+    pub(crate) fn add_reverse_edge(&mut self, filler: IndId, host: IndId) -> bool {
+        if self.reverse_fillers[filler.index()].contains(&host) {
+            return false;
+        }
+        self.reverse_fillers[filler.index()].insert(host)
+    }
+
+    /// The individuals holding `filler` as a role filler.
+    pub(crate) fn hosts_of(&self, filler: IndId) -> impl Iterator<Item = IndId> + '_ {
+        self.reverse_fillers[filler.index()].iter().copied()
+    }
+
+    // ---- copy-on-write diagnostics ----------------------------------------
+
+    /// How much logical state this KB still shares with `other`, normally
+    /// a clone cut from it (a server read snapshot, a sandbox). Counts
+    /// are entries whose record is not the very same allocation in both;
+    /// right after a clone every count is 0 and every flag `true`.
+    pub fn sharing_with(&self, other: &Kb) -> Sharing {
+        Sharing {
+            inds_unshared: self.inds.unshared_with(&other.inds),
+            extensions_unshared: self.extensions.unshared_with(&other.extensions),
+            reverse_fillers_unshared: self.reverse_fillers.unshared_with(&other.reverse_fillers),
+            deps_unshared: self.deps.unshared_with(&other.deps),
+            schema_shared: Arc::ptr_eq(&self.schema, &other.schema),
+            taxonomy_shared: Arc::ptr_eq(&self.taxonomy, &other.taxonomy),
+            rules_shared: Arc::ptr_eq(&self.rules, &other.rules)
+                && Arc::ptr_eq(&self.rules_by_node, &other.rules_by_node),
+            names_shared: Arc::ptr_eq(&self.by_name, &other.by_name),
+        }
+    }
+
+    /// Does `id` hold the very same individual record in both KBs?
+    pub fn shares_individual(&self, other: &Kb, id: IndId) -> bool {
+        id.index() < self.inds.len()
+            && id.index() < other.inds.len()
+            && Arc::ptr_eq(self.inds.shared(id.index()), other.inds.shared(id.index()))
+    }
+}
+
+/// What [`Kb::sharing_with`] reports: how far two KBs' copy-on-write
+/// state has diverged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sharing {
+    /// Individual-arena entries not shared (written since the cut, or
+    /// present in only one KB).
+    pub inds_unshared: usize,
+    /// Per-node extension sets not shared (a written set still shares
+    /// the chunks of ids it did not touch).
+    pub extensions_unshared: usize,
+    /// Per-filler reverse-filler entries not shared.
+    pub reverse_fillers_unshared: usize,
+    /// Per-individual dependency entries (by target and by source) not
+    /// shared.
+    pub deps_unshared: usize,
+    /// Whether both KBs hold the same schema.
+    pub schema_shared: bool,
+    /// Whether both KBs hold the same taxonomy.
+    pub taxonomy_shared: bool,
+    /// Whether both KBs hold the same rule tables.
+    pub rules_shared: bool,
+    /// Whether both KBs hold the same name → individual index.
+    pub names_shared: bool,
+}
+
+impl SchemaCow for Kb {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn schema_mut(&mut self) -> &mut Schema {
+        Arc::make_mut(&mut self.schema)
     }
 }
 

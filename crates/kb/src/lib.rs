@@ -15,6 +15,7 @@
 
 pub mod aspect;
 pub mod bulk;
+mod cow;
 pub mod deps;
 pub mod explain;
 pub mod individual;
@@ -27,4 +28,4 @@ pub use bulk::{BulkRejection, BulkReport, BulkRow, DEFAULT_BULK_CHUNK};
 pub use deps::{DependencyJournal, RetractReport, Support, SupportKind};
 pub use explain::{Explanation, Requirement};
 pub use individual::{IndId, Individual};
-pub use kb::{nearest_match, AssertReport, Kb, KbStats, Rule};
+pub use kb::{nearest_match, AssertReport, Kb, KbStats, Rule, Sharing};

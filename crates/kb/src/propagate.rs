@@ -283,7 +283,7 @@ impl Kb {
                 match f {
                     IndRef::Classic(name) => {
                         let fid = self.ensure_ind(name, journal);
-                        if self.reverse_fillers.entry(fid).or_default().insert(id) {
+                        if self.add_reverse_edge(fid, id) {
                             journal.note_reverse_edge(fid, id);
                         }
                         if let Some(d) = &all {
@@ -377,9 +377,7 @@ impl Kb {
             report.reclassified += 1;
             // Individuals holding `id` as a filler may now pass instance
             // checks that enumerate closed-role fillers.
-            if let Some(parents) = self.reverse_fillers.get(&id) {
-                work.extend(parents.iter().copied());
-            }
+            work.extend(self.hosts_of(id));
         }
         // Fire any unfired rules attached to concepts this individual is
         // now recognized under.
@@ -437,9 +435,7 @@ impl Kb {
         });
         if changed {
             work.push_back(id);
-            if let Some(parents) = self.reverse_fillers.get(&id) {
-                work.extend(parents.iter().copied());
-            }
+            work.extend(self.hosts_of(id));
         }
         Ok(())
     }
@@ -470,7 +466,7 @@ impl Kb {
             Effect::Abort { error, .. } => Err(error),
             Effect::ReverseEdge { filler, host } => {
                 let fid = self.resolve_target(filler, journal);
-                if self.reverse_fillers.entry(fid).or_default().insert(host) {
+                if self.add_reverse_edge(fid, host) {
                     journal.note_reverse_edge(fid, host);
                 }
                 Ok(())
@@ -548,22 +544,15 @@ impl Kb {
                 }
                 journal.touch(self, ind);
                 self.stats.realizations.bump();
-                let old_msc: Vec<NodeId> = self.inds[ind.index()].msc.iter().copied().collect();
-                for n in old_msc {
-                    self.extensions[n.index()].remove(&ind);
-                }
-                for n in &msc {
-                    self.extensions[n.index()].insert(ind);
-                }
+                let old_msc = self.inds[ind.index()].msc.clone();
+                self.move_extension(ind, &old_msc, &msc);
                 let slot = &mut self.inds[ind.index()];
                 slot.instance_nodes = qualifying;
                 slot.msc = msc;
                 report.reclassified += 1;
                 // Individuals holding `ind` as a filler may now pass
                 // instance checks that enumerate closed-role fillers.
-                if let Some(parents) = self.reverse_fillers.get(&ind) {
-                    work.extend(parents.iter().copied());
-                }
+                work.extend(self.hosts_of(ind));
                 Ok(())
             }
             Effect::FireRule { ind, rule_ix } => {
@@ -686,13 +675,8 @@ impl Kb {
             return (false, BTreeSet::new());
         }
         let newly: BTreeSet<NodeId> = qualifying.difference(old).copied().collect();
-        let old_msc: Vec<NodeId> = self.inds[id.index()].msc.iter().copied().collect();
-        for n in old_msc {
-            self.extensions[n.index()].remove(&id);
-        }
-        for n in &msc {
-            self.extensions[n.index()].insert(id);
-        }
+        let old_msc = self.inds[id.index()].msc.clone();
+        self.move_extension(id, &old_msc, &msc);
         let ind = &mut self.inds[id.index()];
         ind.instance_nodes = qualifying;
         ind.msc = msc;

@@ -224,7 +224,7 @@ impl Kb {
                             None => TargetRef::Name(*name),
                         };
                         let edge_known = matches!(&target, TargetRef::Id(fid)
-                            if self.reverse_fillers.get(fid).is_some_and(|s| s.contains(&id)));
+                            if self.reverse_fillers[fid.index()].contains(&id));
                         if !edge_known {
                             emit(Effect::ReverseEdge {
                                 filler: target.clone(),

@@ -307,15 +307,27 @@ fn op_concept(kb: &mut Kb, op: &Op) -> Option<(String, Concept)> {
     }
 }
 
-/// A complete, comparable fingerprint of database state.
-fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>)> {
+/// A complete, comparable fingerprint of database state. The analysis
+/// cone walks the dependency index and the reverse-filler edges, so a
+/// stale edge left behind by a retraction shows up in it.
+fn fingerprint(kb: &Kb) -> Vec<(String, NormalForm, BTreeSet<usize>, BTreeSet<String>)> {
+    let name = |id| {
+        kb.schema()
+            .symbols
+            .individual_name(kb.ind(id).name)
+            .to_owned()
+    };
     kb.ind_ids()
         .map(|id| {
             let ind = kb.ind(id);
             (
-                kb.schema().symbols.individual_name(ind.name).to_owned(),
+                name(id),
                 ind.derived.clone(),
                 ind.msc.iter().map(|n| n.index()).collect(),
+                kb.analysis_cone(&BTreeSet::from([id]))
+                    .into_iter()
+                    .map(name)
+                    .collect(),
             )
         })
         .collect()

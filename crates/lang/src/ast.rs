@@ -9,8 +9,11 @@
 //! * **parse** (`&str → Expr`/`Command`) is a pure function of the input
 //!   text — names stay [`String`] symbols, no KB or schema required;
 //! * **resolve** ([`Expr::resolve`], [`QueryExpr::resolve`]) interns the
-//!   names against one concrete [`Schema`] at evaluation time, yielding
-//!   the [`Concept`]/[`MarkedQuery`] values the engine works with.
+//!   names against one concrete schema at evaluation time, yielding
+//!   the [`Concept`]/[`MarkedQuery`] values the engine works with. It
+//!   looks each name up read-only and interns only a name the schema has
+//!   never seen ([`SchemaCow`]), so resolving a read against a KB
+//!   snapshot leaves the schema it shares with the primary shared.
 //!
 //! Resolution never *declares* anything (same contract as the old parser):
 //! undeclared roles and undefined concepts are still rejected by
@@ -21,7 +24,7 @@
 use classic_core::desc::{Concept, IndRef, Path};
 use classic_core::error::{ClassicError, Result};
 use classic_core::host::{HostValue, Layer, F64};
-use classic_core::schema::Schema;
+use classic_core::schema::SchemaCow;
 use classic_query::MarkedQuery;
 
 /// An individual operand before resolution: a CLASSIC name or a host
@@ -42,9 +45,9 @@ pub enum IndLit {
 
 impl IndLit {
     /// Intern this operand against `schema`.
-    pub fn resolve(&self, schema: &mut Schema) -> IndRef {
+    pub fn resolve<S: SchemaCow>(&self, schema: &mut S) -> IndRef {
         match self {
-            IndLit::Name(n) => IndRef::Classic(schema.symbols.individual(n)),
+            IndLit::Name(n) => IndRef::Classic(schema.individual(n)),
             IndLit::Int(i) => IndRef::Host(HostValue::Int(*i)),
             IndLit::Float(v) => IndRef::Host(HostValue::Float(*v)),
             IndLit::Str(s) => IndRef::Host(HostValue::Str(s.clone())),
@@ -101,13 +104,13 @@ impl Expr {
     /// [`Concept`]. Unknown `TEST` functions are rejected here; all other
     /// names intern freely (normalization rejects undeclared roles and
     /// undefined concepts later, with position-free but precise errors).
-    pub fn resolve(&self, schema: &mut Schema) -> Result<Concept> {
+    pub fn resolve<S: SchemaCow>(&self, schema: &mut S) -> Result<Concept> {
         Ok(match self {
             Expr::Name(s) => {
                 if let Some(layer) = Layer::from_name(s) {
                     Concept::Builtin(layer)
                 } else {
-                    Concept::Name(schema.symbols.concept(s))
+                    Concept::Name(schema.concept(s))
                 }
             }
             Expr::And(parts) => Concept::And(
@@ -117,20 +120,20 @@ impl Expr {
                     .collect::<Result<Vec<_>>>()?,
             ),
             Expr::All(role, inner) => {
-                let r = schema.symbols.role(role);
+                let r = schema.role(role);
                 Concept::all(r, inner.resolve(schema)?)
             }
-            Expr::AtLeast(n, role) => Concept::AtLeast(*n, schema.symbols.role(role)),
-            Expr::AtMost(n, role) => Concept::AtMost(*n, schema.symbols.role(role)),
+            Expr::AtLeast(n, role) => Concept::AtLeast(*n, schema.role(role)),
+            Expr::AtMost(n, role) => Concept::AtMost(*n, schema.role(role)),
             Expr::OneOf(lits) => Concept::OneOf(lits.iter().map(|l| l.resolve(schema)).collect()),
             Expr::Fills(role, lits) => {
-                let r = schema.symbols.role(role);
+                let r = schema.role(role);
                 Concept::Fills(r, lits.iter().map(|l| l.resolve(schema)).collect())
             }
-            Expr::Close(role) => Concept::Close(schema.symbols.role(role)),
+            Expr::Close(role) => Concept::Close(schema.role(role)),
             Expr::SameAs(p, q) => {
-                let rp: Path = p.iter().map(|r| schema.symbols.role(r)).collect();
-                let rq: Path = q.iter().map(|r| schema.symbols.role(r)).collect();
+                let rp: Path = p.iter().map(|r| schema.role(r)).collect();
+                let rq: Path = q.iter().map(|r| schema.role(r)).collect();
                 Concept::SameAs(rp, rq)
             }
             Expr::Primitive { parent, index } => {
@@ -146,7 +149,7 @@ impl Expr {
                 Concept::disjoint_primitive(p, grouping, index)
             }
             Expr::Test(name) => {
-                let id = schema.symbols.find_test(name).ok_or_else(|| {
+                let id = schema.schema().symbols.find_test(name).ok_or_else(|| {
                     ClassicError::Malformed(format!("unknown TEST function {name:?}"))
                 })?;
                 Concept::Test(id)
@@ -176,9 +179,9 @@ impl QueryExpr {
     }
 
     /// Resolve the expression and marker path against `schema`.
-    pub fn resolve(&self, schema: &mut Schema) -> Result<MarkedQuery> {
+    pub fn resolve<S: SchemaCow>(&self, schema: &mut S) -> Result<MarkedQuery> {
         let concept = self.expr.resolve(schema)?;
-        let marker = self.marker.iter().map(|r| schema.symbols.role(r)).collect();
+        let marker = self.marker.iter().map(|r| schema.role(r)).collect();
         Ok(MarkedQuery { concept, marker })
     }
 }

@@ -1069,11 +1069,7 @@ impl TokenWindow<'_> {
 /// cell. Shared by [`eval`] and the durable store's bulk path (which
 /// re-renders accepted rows into its log).
 pub fn resolve_bulk_rows(kb: &mut Kb, spec: &BulkSpec) -> Result<Vec<classic_kb::BulkRow>> {
-    let into = spec
-        .into
-        .as_ref()
-        .map(|e| e.resolve(kb.schema_mut()))
-        .transpose()?;
+    let into = spec.into.as_ref().map(|e| e.resolve(kb)).transpose()?;
     let roles: Vec<classic_core::RoleId> = spec
         .roles
         .iter()
@@ -1093,10 +1089,7 @@ pub fn resolve_bulk_rows(kb: &mut Kb, spec: &BulkSpec) -> Result<Vec<classic_kb:
             }
             for (value, &role) in row.values.iter().zip(&roles) {
                 if let Some(lit) = value {
-                    parts.push(classic_core::Concept::Fills(
-                        role,
-                        vec![lit.resolve(kb.schema_mut())],
-                    ));
+                    parts.push(classic_core::Concept::Fills(role, vec![lit.resolve(kb)]));
                 }
             }
             Ok(classic_kb::BulkRow {
@@ -1150,7 +1143,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             Ok(Outcome::Ok)
         }
         Command::DefineConcept(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             kb.define_concept(name, c)?;
             Ok(Outcome::Ok)
         }
@@ -1159,22 +1152,22 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             Ok(Outcome::Ok)
         }
         Command::AssertInd(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let report = kb.assert_ind(name, &c)?;
             Ok(Outcome::Asserted(report))
         }
         Command::AssertRule(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let ix = kb.assert_rule(name, c)?;
             Ok(Outcome::RuleAsserted(ix))
         }
         Command::RetractInd(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let report = kb.retract_ind(name, &c)?;
             Ok(Outcome::Retracted(report))
         }
         Command::RetractRule(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let report = kb.retract_rule(name, &c)?;
             Ok(Outcome::Retracted(report))
         }
@@ -1301,7 +1294,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             }
         }
         Command::Retrieve(q) => {
-            let q = q.resolve(kb.schema_mut())?;
+            let q = q.resolve(kb)?;
             if q.marker.is_empty() {
                 let ans = Query::concept(q.concept)
                     .run(kb)?
@@ -1327,7 +1320,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             }
         }
         Command::Possible(c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let ids = Query::concept(c)
                 .possible()
                 .run(kb)?
@@ -1345,7 +1338,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             ))
         }
         Command::AskNecessarySet(q) => {
-            let q = q.resolve(kb.schema_mut())?;
+            let q = q.resolve(kb)?;
             let fillers = Query::marked(q)
                 .run(kb)?
                 .into_necessary_set()
@@ -1353,7 +1346,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             Ok(Outcome::Individuals(render_ind_refs(kb, &fillers)))
         }
         Command::AskDescription(q) => {
-            let q = q.resolve(kb.schema_mut())?;
+            let q = q.resolve(kb)?;
             let nf = Query::marked(q)
                 .description()
                 .run(kb)?
@@ -1365,22 +1358,22 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             ))
         }
         Command::Subsumes(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
+            let a = a.resolve(kb)?;
+            let b = b.resolve(kb)?;
             let na = kb.normalize(&a)?;
             let nb = kb.normalize(&b)?;
             Ok(Outcome::Bool(classic_core::subsumes(&na, &nb)))
         }
         Command::Equivalent(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
+            let a = a.resolve(kb)?;
+            let b = b.resolve(kb)?;
             let na = kb.normalize(&a)?;
             let nb = kb.normalize(&b)?;
             Ok(Outcome::Bool(classic_core::equivalent(&na, &nb)))
         }
         Command::Disjoint(a, b) => {
-            let a = a.resolve(kb.schema_mut())?;
-            let b = b.resolve(kb.schema_mut())?;
+            let a = a.resolve(kb)?;
+            let b = b.resolve(kb)?;
             let na = kb.normalize(&a)?;
             let nb = kb.normalize(&b)?;
             Ok(Outcome::Bool(classic_core::disjoint(&na, &nb, kb.schema())))
@@ -1420,7 +1413,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             ))
         }
         Command::Classify(c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             let placement = kb.classify_concept(&c)?;
             let render = |kb: &Kb, names: &[classic_core::ConceptName]| -> Vec<String> {
                 names
@@ -1466,7 +1459,7 @@ pub fn eval(kb: &mut Kb, cmd: &Command) -> Result<Outcome> {
             Ok(Outcome::Description(format!("{verdict}{}", e.render())))
         }
         Command::WhatIf(name, c) => {
-            let c = c.resolve(kb.schema_mut())?;
+            let c = c.resolve(kb)?;
             match kb.what_if(name, &c) {
                 Ok(report) => Ok(Outcome::Description(format!(
                     "would be ACCEPTED (steps={} fills={} corefs={} rules={} reclassified={}); nothing was changed",

@@ -35,7 +35,8 @@
 //! but never lower it below.
 //!
 //! A sandbox is the paper's `what-if` operator promoted from one
-//! assertion to a whole session: the KB is cloned, mutations evaluate
+//! assertion to a whole session: the KB is cloned (copy-on-write, so
+//! `begin` copies pointers, not state), mutations evaluate
 //! against the clone *and* are recorded; `commit` replays the recording
 //! through the tenant's durable path, `rollback` drops it. Commit is
 //! sequential, not transactional — it stops at the first command the

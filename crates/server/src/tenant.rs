@@ -16,6 +16,16 @@
 //!   snapshot isolation in the only sense a structural KB needs:
 //!   each query sees one consistent version, pinned for its duration.
 //!
+//! A cut is cheap because `Kb::clone` is copy-on-write: the snapshot
+//! shares every individual record, extension set, dependency entry and
+//! the schema/taxonomy/rule tables with the primary, copying one pointer
+//! per 64 individuals. The next write copies only the entries it
+//! dirties, and dropping a superseded snapshot frees only those — so
+//! neither the cut nor the drop deep-copies or deep-frees the KB; both
+//! cost O(dirtied entries + individuals/64). The writer drops the
+//! superseded snapshot after releasing the cache lock, so readers never
+//! wait behind a free.
+//!
 //! Lock order is `primary` → `snap` never held together from the write
 //! path (the writer drops the primary guard before touching the cache),
 //! and the read path takes `snap` → `primary` only when the cache is
@@ -51,9 +61,16 @@ fn poisoned(what: &str, tenant: &str) -> ClassicError {
 
 /// An immutable-by-convention copy of a tenant KB at one version.
 ///
+/// The copy is a copy-on-write `Kb::clone`: it shares all unchanged
+/// state with the primary (and with older snapshots), so cutting one
+/// costs pointer copies, and later writes to the primary copy only what
+/// they touch — the snapshot never observes them.
+///
 /// The inner `Mutex<Kb>` exists because query evaluation takes
-/// `&mut Kb` (normalization caches, `what-if` trial assertions that
-/// roll themselves back) — logically the snapshot never changes.
+/// `&mut Kb` (interning a name the KB has never seen, `what-if` trial
+/// assertions that roll themselves back) — logically the snapshot never
+/// changes. Both write into the snapshot's own copies, never into state
+/// it shares with the primary.
 pub struct Snapshot {
     /// Store generation (manifest) the snapshot was cut at.
     pub generation: u64,
@@ -285,7 +302,7 @@ impl Tenant {
             // reader that re-caches the old version loses only
             // freshness until the *next* version check, never
             // consistency (the stale snapshot is still one version).
-            self.lock_snap()?.take();
+            self.invalidate_snapshot()?;
             Ok(result)
         } else {
             Ok((self.snapshot()?.eval(cmd)?, None))
@@ -315,12 +332,23 @@ impl Tenant {
             self.version.fetch_add(1, Ordering::AcqRel);
             out
         };
-        self.lock_snap()?.take();
+        self.invalidate_snapshot()?;
         Ok(out)
     }
 
+    /// Drop the cached snapshot. The cache lock is released before the
+    /// snapshot is: if the cache held the last reference, freeing the
+    /// state it no longer shares happens outside the lock, so readers
+    /// never wait behind the writer's free.
+    fn invalidate_snapshot(&self) -> Result<()> {
+        let superseded = self.lock_snap()?.take();
+        drop(superseded);
+        Ok(())
+    }
+
     /// Get the shared snapshot for the current version, cutting a fresh
-    /// clone from the primary iff the cache is stale or cold.
+    /// copy-on-write clone from the primary iff the cache is stale or
+    /// cold.
     pub fn snapshot(&self) -> Result<Arc<Snapshot>> {
         let version = self.version();
         let mut cache = self.lock_snap()?;
@@ -338,7 +366,11 @@ impl Tenant {
             version,
             kb: Mutex::new(store.kb_mut_for_queries().clone()),
         });
-        *cache = Some(Arc::clone(&snapshot));
+        // A stale snapshot still in the cache is freed outside both locks.
+        drop(store);
+        let superseded = cache.replace(Arc::clone(&snapshot));
+        drop(cache);
+        drop(superseded);
         Ok(snapshot)
     }
 

@@ -152,7 +152,7 @@ fn render_bulk_load(kb: &mut Kb, spec: &BulkSpec, row_accepted: &[bool]) -> Resu
     use std::fmt::Write as _;
     let mut out = String::from("(bulk-load");
     if let Some(e) = &spec.into {
-        let c = e.resolve(kb.schema_mut())?;
+        let c = e.resolve(kb)?;
         let _ = write!(out, " (into {})", c.display(&kb.schema().symbols));
     }
     let _ = write!(out, " (roles {})", spec.roles.join(" "));
@@ -1008,7 +1008,7 @@ impl DurableKb {
                 Ok(Outcome::Ok)
             }
             Command::DefineConcept(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
+                let c = expr.resolve(&mut self.kb)?;
                 self.define_concept(name, c)?;
                 Ok(Outcome::Ok)
             }
@@ -1017,19 +1017,19 @@ impl DurableKb {
                 Ok(Outcome::Ok)
             }
             Command::AssertInd(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
+                let c = expr.resolve(&mut self.kb)?;
                 Ok(Outcome::Asserted(self.assert_ind(name, &c)?))
             }
             Command::AssertRule(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
+                let c = expr.resolve(&mut self.kb)?;
                 Ok(Outcome::RuleAsserted(self.assert_rule(name, c)?))
             }
             Command::RetractInd(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
+                let c = expr.resolve(&mut self.kb)?;
                 Ok(Outcome::Retracted(self.retract_ind(name, &c)?))
             }
             Command::RetractRule(name, expr) => {
-                let c = expr.resolve(self.kb.schema_mut())?;
+                let c = expr.resolve(&mut self.kb)?;
                 Ok(Outcome::Retracted(self.retract_rule(name, &c)?))
             }
             Command::RetractRuleById(ix) => Ok(Outcome::Retracted(self.retract_rule_by_id(*ix)?)),

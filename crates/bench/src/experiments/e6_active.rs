@@ -31,8 +31,8 @@ pub fn run() -> String {
     );
     let _ = writeln!(
         out,
-        "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10} {:>11}",
-        "crimes", "told", "fills", "corefs", "rules", "reclass", "der/told", "µs/assert"
+        "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10} {:>8} {:>11}",
+        "crimes", "told", "fills", "corefs", "rules", "reclass", "der/told", "steps", "µs/assert"
     );
     for crimes in [100usize, 400, 1_600, 6_400] {
         let cfg = CrimeConfig {
@@ -45,9 +45,10 @@ pub fn run() -> String {
         let rules: u64 = ckb.reports.iter().map(|r| r.rules_fired).sum();
         let reclass: u64 = ckb.reports.iter().map(|r| r.reclassified).sum();
         let derived = fills + corefs + rules + reclass;
+        let steps: u64 = ckb.reports.iter().map(|r| r.steps).sum();
         let _ = writeln!(
             out,
-            "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10.2} {:>11.1}",
+            "{:>7} {:>7} {:>8} {:>8} {:>8} {:>9} {:>10.2} {:>8} {:>11.1}",
             crimes,
             ckb.told_assertions,
             fills,
@@ -55,6 +56,7 @@ pub fn run() -> String {
             rules,
             reclass,
             derived as f64 / ckb.told_assertions as f64,
+            steps,
             ns_per(elapsed, ckb.told_assertions as u64) / 1000.0,
         );
     }

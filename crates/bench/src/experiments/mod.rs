@@ -11,7 +11,7 @@ pub mod e11_analyze;
 pub mod e12_store;
 pub mod e13_obs_overhead;
 pub mod e14_server;
-pub mod e15_shard;
+pub mod e15_cascade;
 pub mod e16_incremental;
 pub mod e17_bulk;
 pub mod e18_tracing;
@@ -121,8 +121,8 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e15",
-            "sharded propagation engine: throughput vs the sequential oracle",
-            e15_shard::run,
+            "wide propagation cascades: ms and steps per assert, steps <= classes x individuals",
+            e15_cascade::run,
         ),
         (
             "e16",

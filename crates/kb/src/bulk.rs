@@ -6,8 +6,7 @@
 //! fixpoint for the whole chunk, instead of one per assertion. Rule
 //! firing, `ALL`/`SAME-AS` propagation, and realization all happen once,
 //! over the union of the chunk's facts, through the same engine
-//! (`Propagation::run`) the incremental path uses — including the
-//! sharded execution mode when `Kb::set_propagation_threads` enables it.
+//! (`Propagation::run`) the incremental path uses.
 //!
 //! ## Equivalence with the sequential oracle
 //!
@@ -49,12 +48,10 @@ use crate::propagate::Propagation;
 use classic_core::desc::Concept;
 use classic_core::normal::{conjoin_expression, NormalForm};
 use classic_core::schema::{Schema, SchemaCow};
-use std::collections::{BTreeSet, VecDeque};
 
 /// Default rows per batched fixpoint. Large enough to amortize the
-/// propagation setup (and clear the sharded engine's min-batch
-/// threshold), small enough that a clash-triggered sequential replay
-/// stays cheap.
+/// propagation setup, small enough that a clash-triggered sequential
+/// replay stays cheap.
 pub const DEFAULT_BULK_CHUNK: usize = 512;
 
 /// Rejection details are capped at this many entries; `rejected` and
@@ -259,8 +256,7 @@ impl Kb {
     fn bulk_chunk(&mut self, base: usize, chunk: &[BulkRow], report: &mut BulkReport) {
         report.chunks += 1;
         let mut journal = Journal::default();
-        let mut work: VecDeque<IndId> = VecDeque::new();
-        let mut enqueued: BTreeSet<IndId> = BTreeSet::new();
+        let mut work: Vec<IndId> = Vec::new();
         let mut staged_ok = true;
         for row in chunk {
             let iname = self.schema.individual(&row.name);
@@ -281,9 +277,7 @@ impl Kb {
                 staged_ok = false;
                 break;
             }
-            if enqueued.insert(id) {
-                work.push_back(id);
-            }
+            work.push(id);
         }
         let mut chunk_report = AssertReport::default();
         let ok =

@@ -27,17 +27,9 @@
 //! `tests/retract.rs`). Coarseness makes the reset a superset of the
 //! strictly necessary one — sound, since re-derivation from told facts
 //! is confluent — while keeping the journal small and maintenance O(1)
-//! per propagation step.
-//!
-//! The sharded propagation engine (`crate::shard`) preserves this
-//! fixed-point characterization across threads: workers never write the
-//! journal from inside the parallel planning phase. `ALL` and rule
-//! supports travel as cross-shard effect messages and are recorded
-//! during the sequential drain, *unconditionally* (like here, whenever
-//! the mechanism applies), while `SAME-AS` supports are recorded only
-//! when the co-reference changed something — both matching the
-//! sequential engine's policy exactly, so the journal after a sharded
-//! fixpoint equals the journal after a sequential one.
+//! per propagation step. It is also why the propagation worklist may
+//! deduplicate an epoch's pending ids (see `propagate.rs`): how often an
+//! individual is processed does not change which supports it records.
 
 use crate::cow::CowVec;
 use crate::individual::IndId;

@@ -267,19 +267,7 @@ pub struct Kb {
     assert_ns: Histogram,
     retract_ns: Histogram,
     pub(crate) propagate_ns: Histogram,
-    /// Propagation worker threads. `0` = auto (one per available core).
-    /// See [`Kb::set_propagation_threads`].
-    pub(crate) propagation_threads: usize,
-    /// Epochs with fewer worklist items than this run on the sequential
-    /// path even when sharding is enabled; see
-    /// [`Kb::set_propagation_min_batch`].
-    pub(crate) propagation_min_batch: usize,
 }
-
-/// Default [`Kb::set_propagation_min_batch`] threshold: below this many
-/// worklist items an epoch runs sequentially — thread fan-out costs more
-/// than it saves on small fixpoints.
-pub const DEFAULT_PROPAGATION_MIN_BATCH: usize = 64;
 
 impl Default for Kb {
     fn default() -> Self {
@@ -330,8 +318,6 @@ impl Clone for Kb {
             assert_ns: self.assert_ns.clone(),
             retract_ns: self.retract_ns.clone(),
             propagate_ns: self.propagate_ns.clone(),
-            propagation_threads: self.propagation_threads,
-            propagation_min_batch: self.propagation_min_batch,
         }
     }
 }
@@ -382,46 +368,7 @@ impl Kb {
             assert_ns,
             retract_ns,
             propagate_ns,
-            propagation_threads: std::env::var("CLASSIC_PROPAGATION_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            propagation_min_batch: DEFAULT_PROPAGATION_MIN_BATCH,
         }
-    }
-
-    // ---- propagation threading --------------------------------------------
-
-    /// Set the number of worker threads the propagation fixpoint may use.
-    /// `0` (the default) means auto: one shard per available core. `1`
-    /// pins the sequential engine — the oracle the sharded engine is
-    /// differential-tested against. The default can also be set
-    /// process-wide with the `CLASSIC_PROPAGATION_THREADS` environment
-    /// variable (read at [`Kb::new`]).
-    ///
-    /// Results are identical either way: shards exchange cross-shard
-    /// effects through a deterministic per-epoch message barrier (see
-    /// `propagate.rs`), so thread count affects wall time only.
-    pub fn set_propagation_threads(&mut self, n: usize) {
-        self.propagation_threads = n;
-    }
-
-    /// The resolved propagation thread count (≥ 1): the configured value,
-    /// or the number of available cores when configured as auto (`0`).
-    pub fn propagation_threads(&self) -> usize {
-        match self.propagation_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
-
-    /// Set the minimum epoch size (worklist items) for parallel
-    /// processing; smaller epochs always run sequentially. Tuning knob
-    /// for benchmarks and tests (lowering it forces small fixpoints onto
-    /// the sharded path); the default is
-    /// [`DEFAULT_PROPAGATION_MIN_BATCH`].
-    pub fn set_propagation_min_batch(&mut self, n: usize) {
-        self.propagation_min_batch = n.max(1);
     }
 
     // ---- accessors -------------------------------------------------------
@@ -679,7 +626,7 @@ impl Kb {
         self.inds[id.index()].derived = derived;
         res?;
         let mut report = AssertReport::default();
-        let mut work: VecDeque<IndId> = VecDeque::from([id]);
+        let mut work = vec![id];
         Propagation::run(self, &mut work, journal, &mut report)?;
         Ok(report)
     }
@@ -854,7 +801,7 @@ impl Kb {
         }
         // Propagate the whole affected region back to a fixed point.
         let mut report = AssertReport::default();
-        let mut work: VecDeque<IndId> = enqueue.iter().copied().collect();
+        let mut work: Vec<IndId> = enqueue.iter().copied().collect();
         Propagation::run(self, &mut work, journal, &mut report)?;
         Ok(RetractReport {
             reset: reset.len() as u64,
@@ -912,8 +859,7 @@ impl Kb {
             .push(rule_ix);
 
         let mut journal = Journal::default();
-        let instances: Vec<IndId> = self.instances_of_node(node).into_iter().collect();
-        let mut work: VecDeque<IndId> = instances.into();
+        let mut work: Vec<IndId> = self.instances_of_node(node).into_iter().collect();
         for &i in &work {
             journal.touch(self, i);
         }

@@ -21,7 +21,6 @@ pub mod explain;
 pub mod individual;
 pub mod kb;
 mod propagate;
-mod shard;
 
 pub use aspect::ConceptPlacement;
 pub use bulk::{BulkRejection, BulkReport, BulkRow, DEFAULT_BULK_CHUNK};

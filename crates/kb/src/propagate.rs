@@ -30,11 +30,16 @@
 //! conjoined sub-descriptions, and each rule fires at most once per
 //! individual — so the fixpoint is bounded by #classes × #individuals
 //! (experiment E4 measures this).
+//!
+//! There is one engine, [`Propagation::run`]: a single-threaded worklist
+//! drained in epochs. Each epoch sorts and deduplicates the pending ids
+//! and processes each once in place, so an individual enqueued by many
+//! changes in one epoch — the hub of a wide `ALL` cascade — costs one
+//! step, not one per enqueue.
 
 use crate::deps::{Support, SupportKind};
 use crate::individual::IndId;
 use crate::kb::{AssertReport, Journal, Kb};
-use crate::shard::{Effect, MessageBus, Partition, Tagged, TargetRef};
 use classic_core::desc::{IndRef, Path};
 use classic_core::error::{Clash, ClassicError, Result};
 use classic_core::host::HostValue;
@@ -46,7 +51,7 @@ use classic_core::taxonomy::NodeId;
 use std::collections::{BTreeSet, VecDeque};
 
 /// How a `SAME-AS` path resolves against the current state.
-pub(crate) enum PathResolution {
+enum PathResolution {
     /// Every step has a known filler; this is the value at the end.
     Complete(IndRef),
     /// All but the final step resolve; the holder lacks a filler for the
@@ -64,25 +69,37 @@ impl Propagation {
     /// Drain the worklist to a fixed point. On error the caller rolls the
     /// journal back.
     ///
-    /// Dispatches on [`Kb::propagation_threads`]: `1` runs the classic
-    /// sequential worklist; above that, wide epochs are planned in
-    /// parallel across arena shards and their effects applied at a
-    /// deterministic barrier (see [`Propagation::run_sharded`]). Both
-    /// paths reach the same fixed point — the sequential engine is the
-    /// oracle the sharded one is differential-tested against.
+    /// Runs in epochs: each drains the worklist into a batch, sorts and
+    /// deduplicates it, and processes every id once in place. An
+    /// individual enqueued many times within an epoch — a hub's fillers
+    /// each re-enqueueing the hub, say — is processed once per epoch, not
+    /// once per enqueue; anything the batch changes lands in the next
+    /// epoch. Sorting makes the processing order a function of the ids,
+    /// not of arrival order.
     pub(crate) fn run(
         kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
+        work: &mut Vec<IndId>,
         journal: &mut Journal,
         report: &mut AssertReport,
     ) -> Result<()> {
         let _span = classic_obs::span_timed(&kb.recorder, "propagate.fixpoint", &kb.propagate_ns);
-        let threads = kb.propagation_threads();
-        if threads > 1 {
-            Self::run_sharded(kb, work, journal, report, threads)
-        } else {
-            Self::run_sequential(kb, work, journal, report)
+        let mut steps = 0u64;
+        while !work.is_empty() {
+            let mut batch = std::mem::take(work);
+            batch.sort_unstable();
+            batch.dedup();
+            for id in batch {
+                steps += 1;
+                report.steps += 1;
+                kb.stats.propagation_steps.bump();
+                if steps > Self::step_limit(kb) {
+                    return Err(Self::fixpoint_overrun(kb, steps, Self::step_limit(kb), id));
+                }
+                kb.process_one(id, work, journal, report)?;
+            }
         }
+        classic_obs::event("steps", steps);
+        Ok(())
     }
 
     /// Generous safety bound far above the paper's #classes ×
@@ -109,142 +126,6 @@ impl Propagation {
              (step {steps} exceeded limit {limit} while processing {name:?})"
         ))
     }
-
-    /// The classic single-threaded worklist loop.
-    fn run_sequential(
-        kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
-        journal: &mut Journal,
-        report: &mut AssertReport,
-    ) -> Result<()> {
-        let mut steps = 0u64;
-        while let Some(id) = work.pop_front() {
-            steps += 1;
-            report.steps += 1;
-            kb.stats.propagation_steps.bump();
-            if steps > Self::step_limit(kb) {
-                return Err(Self::fixpoint_overrun(kb, steps, Self::step_limit(kb), id));
-            }
-            kb.process_one(id, work, journal, report)?;
-        }
-        classic_obs::event("steps", steps);
-        Ok(())
-    }
-
-    /// The sharded fixpoint: bulk-synchronous epochs over the individual
-    /// arena.
-    ///
-    /// Each epoch drains the worklist into a sorted, deduplicated batch.
-    /// Small batches (below [`Kb::set_propagation_min_batch`]) run
-    /// through the sequential step directly — fan-out costs more than it
-    /// saves. Wide batches are split by contiguous-range ownership
-    /// ([`Partition`]) and *planned* in parallel on scoped threads: each
-    /// shard runs the read-only [`Kb::plan_one`] over its items against
-    /// the shared epoch-start state and emits [`Effect`] messages onto a
-    /// [`MessageBus`]. At the barrier the coordinator drains the bus in
-    /// canonical `(queue, src, seq)` order and applies the effects
-    /// sequentially through the same journal-tracked mutations the
-    /// sequential engine uses — so rollback, provenance, and the final
-    /// state are identical, and the parallelism is confined to the
-    /// expensive read side (recognition sweeps, subsumption checks).
-    ///
-    /// A conjunction that changes its target re-enqueues both the target
-    /// *and* the planning source: within one sequential `process_one`
-    /// pass, later phases see earlier phases' writes, and re-planning the
-    /// source against the post-apply state reproduces exactly that
-    /// visibility one epoch later (a no-op once nothing changes —
-    /// monotone, so the fixed points coincide).
-    fn run_sharded(
-        kb: &mut Kb,
-        work: &mut VecDeque<IndId>,
-        journal: &mut Journal,
-        report: &mut AssertReport,
-        shards: usize,
-    ) -> Result<()> {
-        let mut steps = 0u64;
-        loop {
-            let mut batch: Vec<IndId> = work.drain(..).collect();
-            batch.sort_unstable();
-            batch.dedup();
-            if batch.is_empty() {
-                break;
-            }
-            if batch.len() < kb.propagation_min_batch {
-                for id in batch {
-                    steps += 1;
-                    report.steps += 1;
-                    kb.stats.propagation_steps.bump();
-                    if steps > Self::step_limit(kb) {
-                        return Err(Self::fixpoint_overrun(kb, steps, Self::step_limit(kb), id));
-                    }
-                    kb.process_one(id, work, journal, report)?;
-                }
-                continue;
-            }
-
-            steps += batch.len() as u64;
-            report.steps += batch.len() as u64;
-            kb.stats.propagation_steps.add(batch.len() as u64);
-            let limit = Self::step_limit(kb);
-            if steps > limit {
-                return Err(Self::fixpoint_overrun(kb, steps, limit, batch[0]));
-            }
-
-            // ---- parallel compute phase ---------------------------------
-            let part = Partition::new(kb.inds.len(), shards);
-            let bus: MessageBus<Effect> = MessageBus::new(part.queues());
-            let mut lists: Vec<Vec<IndId>> = vec![Vec::new(); shards];
-            for id in batch {
-                lists[part.owner(id)].push(id);
-            }
-            {
-                let kb_ref: &Kb = kb;
-                let bus_ref = &bus;
-                let part_ref = &part;
-                std::thread::scope(|scope| {
-                    for (six, list) in lists.iter().enumerate() {
-                        if list.is_empty() {
-                            continue;
-                        }
-                        scope.spawn(move || {
-                            let _span = classic_obs::span(&kb_ref.recorder, "propagate.shard");
-                            let mut seq = 0u32;
-                            for &id in list {
-                                kb_ref.plan_one(id, &mut |effect| {
-                                    let dest = part_ref.dest(&effect);
-                                    bus_ref.push(
-                                        dest,
-                                        Tagged {
-                                            src: six as u32,
-                                            seq,
-                                            payload: effect,
-                                        },
-                                    );
-                                    seq += 1;
-                                });
-                            }
-                            classic_obs::event("planned", list.len() as u64);
-                        });
-                    }
-                });
-            }
-
-            // ---- epoch barrier: gauges, canonical drain, apply ----------
-            for (qix, depth) in bus.depths().into_iter().enumerate() {
-                if let Ok(g) = kb.obs.get_or_gauge(
-                    &format!("classic_propagate_shard_queue_depth_{qix}"),
-                    "cross-shard effect queue depth at the epoch barrier",
-                ) {
-                    g.set(depth as u64);
-                }
-            }
-            for msg in bus.drain_sorted() {
-                kb.apply_effect(msg.payload, journal, work, report)?;
-            }
-        }
-        classic_obs::event("steps", steps);
-        Ok(())
-    }
 }
 
 impl Kb {
@@ -253,7 +134,7 @@ impl Kb {
     fn process_one(
         &mut self,
         id: IndId,
-        work: &mut VecDeque<IndId>,
+        work: &mut Vec<IndId>,
         journal: &mut Journal,
         report: &mut AssertReport,
     ) -> Result<()> {
@@ -372,8 +253,7 @@ impl Kb {
         }
 
         // ---- phase 3: recognition + rules -----------------------------------
-        let (changed, _newly) = self.realize(id);
-        if changed {
+        if self.realize(id) {
             report.reclassified += 1;
             // Individuals holding `id` as a filler may now pass instance
             // checks that enumerate closed-role fillers.
@@ -398,15 +278,13 @@ impl Kb {
     }
 
     /// Fire one due rule on `id`: mark it fired, conjoin the consequent,
-    /// record the support, and enqueue the consequences. Shared verbatim
-    /// between the sequential pass and the sharded apply phase so the two
-    /// engines cannot drift.
+    /// record the support, and enqueue the consequences.
     fn apply_rule_firing(
         &mut self,
         id: IndId,
         rule_ix: usize,
         journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
+        work: &mut Vec<IndId>,
         report: &mut AssertReport,
     ) -> Result<()> {
         if self.inds[id.index()].fired_rules.contains(&rule_ix) {
@@ -434,131 +312,10 @@ impl Kb {
             kind: SupportKind::Rule { index: rule_ix },
         });
         if changed {
-            work.push_back(id);
+            work.push(id);
             work.extend(self.hosts_of(id));
         }
         Ok(())
-    }
-
-    // ---- sharded apply phase ---------------------------------------------
-
-    /// Resolve an effect target to an arena id, creating
-    /// referenced-but-missing individuals (in canonical drain order, so
-    /// creation order — and therefore arena layout — is deterministic).
-    fn resolve_target(&mut self, target: TargetRef, journal: &mut Journal) -> IndId {
-        match target {
-            TargetRef::Id(id) => id,
-            TargetRef::Name(name) => self.ensure_ind(name, journal),
-        }
-    }
-
-    /// Apply one cross-shard effect at the epoch barrier. Every mutation
-    /// goes through the same journal-tracked helpers as the sequential
-    /// engine, so rollback and provenance are shared.
-    pub(crate) fn apply_effect(
-        &mut self,
-        effect: Effect,
-        journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
-        report: &mut AssertReport,
-    ) -> Result<()> {
-        match effect {
-            Effect::Abort { error, .. } => Err(error),
-            Effect::ReverseEdge { filler, host } => {
-                let fid = self.resolve_target(filler, journal);
-                if self.add_reverse_edge(fid, host) {
-                    journal.note_reverse_edge(fid, host);
-                }
-                Ok(())
-            }
-            Effect::Support {
-                target,
-                source,
-                kind,
-            } => {
-                let fid = self.resolve_target(target, journal);
-                journal.note_support(Support {
-                    target: fid,
-                    source,
-                    kind,
-                });
-                Ok(())
-            }
-            Effect::Conjoin {
-                target,
-                nf,
-                source,
-                kind,
-            } => {
-                let fid = self.resolve_target(target, journal);
-                let changed = self.conjoin_nf(fid, &nf, journal, work, report)?;
-                match kind {
-                    SupportKind::All { .. } => {
-                        if changed {
-                            self.stats.fills_propagations.bump();
-                            report.fills_propagated += 1;
-                        }
-                        // Unconditional, like the sequential engine: the
-                        // support set is a function of the fixed point,
-                        // not of arrival order.
-                        journal.note_support(Support {
-                            target: fid,
-                            source,
-                            kind,
-                        });
-                    }
-                    SupportKind::Coref { .. } => {
-                        if changed {
-                            self.stats.coref_propagations.bump();
-                            report.corefs_derived += 1;
-                            journal.note_support(Support {
-                                target: fid,
-                                source,
-                                kind,
-                            });
-                        }
-                    }
-                    // Told/Rule supports never travel as Conjoin effects.
-                    SupportKind::Told { .. } | SupportKind::Rule { .. } => {}
-                }
-                // Re-plan the source so it sees the post-apply state —
-                // the sharded stand-in for later phases of a sequential
-                // pass observing earlier phases' writes.
-                if changed {
-                    work.push_back(source);
-                }
-                Ok(())
-            }
-            Effect::Install {
-                ind,
-                qualifying,
-                msc,
-            } => {
-                // Stale installs are possible (an earlier effect in this
-                // same barrier may have grown `ind` further); recognition
-                // is monotone, so installing the plan-time superset and
-                // letting the re-enqueued target correct itself next
-                // epoch converges.
-                if self.inds[ind.index()].instance_nodes == qualifying {
-                    return Ok(());
-                }
-                journal.touch(self, ind);
-                self.stats.realizations.bump();
-                let old_msc = self.inds[ind.index()].msc.clone();
-                self.move_extension(ind, &old_msc, &msc);
-                let slot = &mut self.inds[ind.index()];
-                slot.instance_nodes = qualifying;
-                slot.msc = msc;
-                report.reclassified += 1;
-                // Individuals holding `ind` as a filler may now pass
-                // instance checks that enumerate closed-role fillers.
-                work.extend(self.hosts_of(ind));
-                Ok(())
-            }
-            Effect::FireRule { ind, rule_ix } => {
-                self.apply_rule_firing(ind, rule_ix, journal, work, report)
-            }
-        }
     }
 
     pub(crate) fn ensure_referenced_inds_pub(
@@ -596,7 +353,7 @@ impl Kb {
         target: IndId,
         nf: &NormalForm,
         journal: &mut Journal,
-        work: &mut VecDeque<IndId>,
+        work: &mut Vec<IndId>,
         _report: &mut AssertReport,
     ) -> Result<bool> {
         // Cheap monotone short-circuit: nothing to add if the target is
@@ -615,12 +372,12 @@ impl Kb {
                 reason: clash,
             });
         }
-        work.push_back(target);
+        work.push(target);
         Ok(true)
     }
 
     /// Walk a `SAME-AS` attribute chain from `id` through known fillers.
-    pub(crate) fn resolve_path(&self, id: IndId, path: &Path) -> PathResolution {
+    fn resolve_path(&self, id: IndId, path: &Path) -> PathResolution {
         let mut cur = id;
         for (k, &role) in path.iter().enumerate() {
             let last = k + 1 == path.len();
@@ -666,32 +423,26 @@ impl Kb {
 
     /// Re-realize one individual: recompute the set of schema concepts it
     /// provably belongs to, its most-specific frontier, and the extension
-    /// index. Returns (changed, newly entered nodes).
-    pub(crate) fn realize(&mut self, id: IndId) -> (bool, BTreeSet<NodeId>) {
+    /// index. Returns whether the instance set changed.
+    pub(crate) fn realize(&mut self, id: IndId) -> bool {
         self.stats.realizations.bump();
         let (qualifying, msc) = self.compute_recognition(id);
-        let old = &self.inds[id.index()].instance_nodes;
-        if *old == qualifying {
-            return (false, BTreeSet::new());
+        if self.inds[id.index()].instance_nodes == qualifying {
+            return false;
         }
-        let newly: BTreeSet<NodeId> = qualifying.difference(old).copied().collect();
         let old_msc = self.inds[id.index()].msc.clone();
         self.move_extension(id, &old_msc, &msc);
         let ind = &mut self.inds[id.index()];
         ind.instance_nodes = qualifying;
         ind.msc = msc;
-        (true, newly)
+        true
     }
 
     /// Pruned top-down recognition sweep: a node's children are only
     /// examined when the node itself is satisfied (instance checking is
     /// monotone along subsumption, so nothing below a failed node can
     /// succeed).
-    ///
-    /// Read-only (`&self`) by construction — the sharded engine runs this
-    /// concurrently from shard workers, which is where the parallel
-    /// speedup comes from (instance tests dominate wide fixpoints).
-    pub(crate) fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
+    fn compute_recognition(&self, id: IndId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
         let mut qualifying: BTreeSet<NodeId> = BTreeSet::new();
         let mut failed: BTreeSet<NodeId> = BTreeSet::new();
         let mut msc: BTreeSet<NodeId> = BTreeSet::new();

@@ -216,3 +216,163 @@ fn what_if_reports_without_mutating() {
     ));
     assert_eq!(kb.ind(pat).derived, derived_before);
 }
+
+// ---- wide cascades ---------------------------------------------------------
+
+/// A hub role with a TRACKED primitive and a VIP primitive that the rule
+/// TRACKED ⇒ VIP forward-chains onto every TRACKED individual.
+fn hub_schema() -> Kb {
+    let mut kb = Kb::new();
+    kb.define_role("member").unwrap();
+    kb.define_concept("TRACKED", Concept::primitive(Concept::thing(), "tracked"))
+        .unwrap();
+    kb.define_concept("VIP", Concept::primitive(Concept::thing(), "vip"))
+        .unwrap();
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    kb.define_concept("HUB", Concept::AtLeast(3, member))
+        .unwrap();
+    kb
+}
+
+fn with_rule(mut kb: Kb) -> Kb {
+    let vip = kb.schema().symbols.find_concept("VIP").unwrap();
+    kb.assert_rule("TRACKED", Concept::Name(vip)).unwrap();
+    kb
+}
+
+/// Create `Hub` and fill its `member` role with `n` fresh individuals
+/// named `{prefix}0..`.
+fn fill_hub(kb: &mut Kb, prefix: &str, n: usize) {
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    kb.create_ind("Hub").unwrap();
+    let fillers: Vec<IndRef> = (0..n)
+        .map(|i| IndRef::Classic(kb.schema_mut().symbols.individual(&format!("{prefix}{i}"))))
+        .collect();
+    kb.assert_ind("Hub", &Concept::Fills(member, fillers))
+        .unwrap();
+}
+
+fn all_tracked(kb: &Kb) -> Concept {
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    let tracked = kb.schema().symbols.find_concept("TRACKED").unwrap();
+    Concept::All(member, Box::new(Concept::Name(tracked)))
+}
+
+fn count_of(kb: &Kb, concept: &str) -> usize {
+    let c = kb.schema().symbols.find_concept(concept).unwrap();
+    kb.instances_of(c).unwrap().len()
+}
+
+#[test]
+fn wide_all_cascade_reaches_every_filler() {
+    let mut kb = hub_schema();
+    fill_hub(&mut kb, "m", 120);
+    let all = all_tracked(&kb);
+    kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(count_of(&kb, "TRACKED"), 120);
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn wide_rule_cascade_fires_on_every_filler() {
+    let mut kb = with_rule(hub_schema());
+    fill_hub(&mut kb, "w", 80);
+    let all = all_tracked(&kb);
+    kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(count_of(&kb, "VIP"), 80);
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn epoch_dedup_bounds_steps_on_a_wide_rule_cascade() {
+    // Each filler's rule firing re-enqueues the hub (its host); processed
+    // once per enqueue, the hub alone would cost a step per filler.
+    // Deduplicated per epoch, the cascade costs a small constant number
+    // of steps per filler.
+    const N: u64 = 120;
+    let mut kb = with_rule(hub_schema());
+    fill_hub(&mut kb, "e", N as usize);
+    let all = all_tracked(&kb);
+    let report = kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(count_of(&kb, "VIP"), N as usize);
+    assert!(
+        report.steps <= 3 * N,
+        "{} propagation steps for a {N}-filler cascade",
+        report.steps
+    );
+}
+
+#[test]
+fn same_as_fills_the_driver_from_the_owner() {
+    let mut kb = Kb::new();
+    kb.define_attribute("owner").unwrap();
+    kb.define_attribute("driver").unwrap();
+    let owner = kb.schema().symbols.find_role("owner").unwrap();
+    let driver = kb.schema().symbols.find_role("driver").unwrap();
+    for i in 0..20 {
+        let name = format!("car{i}");
+        kb.create_ind(&name).unwrap();
+        let olga = kb.schema_mut().symbols.individual(&format!("olga{i}"));
+        kb.assert_ind(&name, &Concept::Fills(owner, vec![IndRef::Classic(olga)]))
+            .unwrap();
+        // SAME-AS((owner)(driver)): the driver must be the owner.
+        kb.assert_ind(&name, &Concept::SameAs(vec![owner], vec![driver]))
+            .unwrap();
+    }
+    for i in 0..20 {
+        let car = kb
+            .ind_id(
+                kb.schema()
+                    .symbols
+                    .find_individual(&format!("car{i}"))
+                    .unwrap(),
+            )
+            .unwrap();
+        let olga = kb
+            .schema()
+            .symbols
+            .find_individual(&format!("olga{i}"))
+            .unwrap();
+        assert_eq!(
+            kb.ind(car).fillers(driver),
+            vec![IndRef::Classic(olga)],
+            "car{i}'s driver"
+        );
+    }
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn wide_cascade_clash_rolls_back_the_whole_update() {
+    let mut kb = hub_schema();
+    fill_hub(&mut kb, "x", 50);
+    let member = kb.schema().symbols.find_role("member").unwrap();
+    // x0 already needs ≥2 members, so the ALL cascade below — which
+    // pushes (AT-MOST 1 member) onto every filler — clashes on it partway
+    // through and must roll the whole update back.
+    kb.assert_ind("x0", &Concept::AtLeast(2, member)).unwrap();
+    let before: Vec<_> = kb.ind_ids().map(|id| kb.ind(id).derived.clone()).collect();
+    let err = kb.assert_ind(
+        "Hub",
+        &Concept::All(member, Box::new(Concept::AtMost(1, member))),
+    );
+    assert!(
+        matches!(err, Err(classic_core::ClassicError::Inconsistent { .. })),
+        "cascade onto x0 must clash"
+    );
+    let after: Vec<_> = kb.ind_ids().map(|id| kb.ind(id).derived.clone()).collect();
+    assert_eq!(before, after, "every filler and the hub restored");
+    kb.check_invariants().unwrap();
+}
+
+#[test]
+fn retracting_the_wide_all_untracks_every_filler() {
+    let mut kb = hub_schema();
+    fill_hub(&mut kb, "r", 60);
+    let all = all_tracked(&kb);
+    kb.assert_ind("Hub", &all).unwrap();
+    assert_eq!(count_of(&kb, "TRACKED"), 60);
+    kb.retract_ind("Hub", &all).unwrap();
+    assert_eq!(count_of(&kb, "TRACKED"), 0);
+    kb.check_invariants().unwrap();
+}

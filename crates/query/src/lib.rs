@@ -201,13 +201,13 @@ impl Query {
     /// matches the requested mode.
     pub fn run(&self, kb: &mut Kb) -> Result<Answer> {
         match self.mode {
-            QueryMode::Known => Ok(Answer::Known(retrieve_impl(kb, &self.concept)?)),
-            QueryMode::Possible => Ok(Answer::Possible(possible_impl(kb, &self.concept)?)),
-            QueryMode::NecessarySet => Ok(Answer::NecessarySet(ask_necessary_set_impl(
+            QueryMode::Known => Ok(Answer::Known(retrieve(kb, &self.concept)?)),
+            QueryMode::Possible => Ok(Answer::Possible(possible(kb, &self.concept)?)),
+            QueryMode::NecessarySet => Ok(Answer::NecessarySet(ask_necessary_set(
                 kb,
                 &self.marked_query(),
             )?)),
-            QueryMode::Description => Ok(Answer::Description(ask_description_impl(
+            QueryMode::Description => Ok(Answer::Description(ask_description(
                 kb,
                 &self.marked_query(),
             )?)),
@@ -263,34 +263,7 @@ impl Answer {
 }
 
 /// Evaluate a concept-as-query via classification (§5).
-///
-/// ```
-/// use classic_core::Concept;
-/// use classic_kb::Kb;
-///
-/// let mut kb = Kb::new();
-/// let wheels = kb.define_role("wheel")?;
-/// kb.define_concept("VEHICLE", Concept::primitive(Concept::thing(), "v"))?;
-/// let vehicle = kb.schema().symbols.find_concept("VEHICLE").unwrap();
-/// for (name, n) in [("Bike", 2), ("Trike", 3), ("Car", 4)] {
-///     kb.create_ind(name)?;
-///     kb.assert_ind(name, &Concept::Name(vehicle))?;
-///     kb.assert_ind(name, &Concept::AtLeast(n, wheels))?;
-/// }
-/// let q = Concept::and([Concept::Name(vehicle), Concept::AtLeast(3, wheels)]);
-/// let answers = classic_query::Query::concept(q)
-///     .run(&mut kb)?
-///     .into_known()
-///     .unwrap();
-/// assert_eq!(answers.known.len(), 2); // Trike and Car
-/// # Ok::<(), classic_core::ClassicError>(())
-/// ```
-#[deprecated(note = "use the `Query` builder: `Query::concept(c).run(kb)?.into_known()`")]
-pub fn retrieve(kb: &mut Kb, query: &Concept) -> Result<Answers> {
-    retrieve_impl(kb, query)
-}
-
-fn retrieve_impl(kb: &mut Kb, query: &Concept) -> Result<Answers> {
+fn retrieve(kb: &mut Kb, query: &Concept) -> Result<Answers> {
     let nf = kb.normalize(query)?;
     retrieve_nf(kb, &nf)
 }
@@ -539,14 +512,7 @@ pub fn retrieve_naive_nf(kb: &Kb, nf: &NormalForm) -> Result<Answers> {
 /// assumption (§3.5.3): everything whose derived description is not
 /// provably disjoint from the query. Always a superset of the known
 /// answers.
-#[deprecated(
-    note = "use the `Query` builder: `Query::concept(c).possible().run(kb)?.into_possible()`"
-)]
-pub fn possible(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
-    possible_impl(kb, query)
-}
-
-fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
+fn possible(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
     let nf = kb.normalize(query)?;
     let ids: Vec<IndId> = kb.ind_ids().collect();
     guard_tests(|| {
@@ -559,13 +525,8 @@ fn possible_impl(kb: &mut Kb, query: &Concept) -> Result<Vec<IndId>> {
 /// `ask-necessary-set`: evaluate a marked query and return the fillers at
 /// the marker position across all known answers (§3.5.3). Fillers may be
 /// host values.
-#[deprecated(note = "use the `Query` builder: `Query::marked(q).run(kb)?.into_necessary_set()`")]
-pub fn ask_necessary_set(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
-    ask_necessary_set_impl(kb, q)
-}
-
-fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
-    let subjects = retrieve_impl(kb, &q.concept)?.known;
+fn ask_necessary_set(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
+    let subjects = retrieve(kb, &q.concept)?.known;
     let mut frontier: BTreeSet<IndRef> = subjects
         .into_iter()
         .map(|id| IndRef::Classic(kb.ind(id).name))
@@ -593,14 +554,7 @@ fn ask_necessary_set_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<Vec<IndRef>> {
 /// every rule attached to a schema concept that subsumes it ("the
 /// description of this set, in light of the forward-chaining rules in
 /// effect at that time, might include JUNK-FOOD"), to a fixed point.
-#[deprecated(
-    note = "use the `Query` builder: `Query::marked(q).description().run(kb)?.into_description()`"
-)]
-pub fn ask_description(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
-    ask_description_impl(kb, q)
-}
-
-fn ask_description_impl(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
+fn ask_description(kb: &mut Kb, q: &MarkedQuery) -> Result<NormalForm> {
     let mut subject = kb.normalize(&q.concept)?;
     // A singleton enumeration names a known individual: fold in everything
     // the database has derived about it — the paper's crime15 pattern,
@@ -676,10 +630,6 @@ pub fn describe(kb: &Kb, id: IndId) -> Concept {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free functions stay under test until they are
-    // removed: the builder-parity tests below are exactly what keeps the
-    // shims honest.
-    #![allow(deprecated)]
     use super::*;
     use classic_core::desc::Concept;
 
@@ -829,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn query_builder_matches_free_functions() {
+    fn query_builder_answers_every_mode() {
         let mut kb = kb_with_schema();
         let person = kb.schema_mut().symbols.concept("PERSON");
         let eat = kb.schema_mut().symbols.find_role("eat").unwrap();
@@ -838,7 +788,10 @@ mod tests {
         let pizza = IndRef::Classic(kb.schema_mut().symbols.individual("Pizza-1"));
         kb.assert_ind("Rocky", &Concept::Fills(eat, vec![pizza.clone()]))
             .unwrap();
-        kb.create_ind("Maybe").unwrap();
+        let maybe = kb.create_ind("Maybe").unwrap();
+        let rocky = kb
+            .ind_id(kb.schema().symbols.find_individual("Rocky").unwrap())
+            .unwrap();
 
         let q = Concept::Name(person);
         let known = Query::concept(q.clone())
@@ -846,7 +799,7 @@ mod tests {
             .unwrap()
             .into_known()
             .unwrap();
-        assert_eq!(known.known, retrieve(&mut kb, &q).unwrap().known);
+        assert_eq!(known.known, vec![rocky]);
 
         let poss = Query::concept(q.clone())
             .possible()
@@ -854,18 +807,17 @@ mod tests {
             .unwrap()
             .into_possible()
             .unwrap();
-        assert_eq!(poss, possible(&mut kb, &q).unwrap());
+        assert!(poss.contains(&rocky) && poss.contains(&maybe));
 
         let mq = MarkedQuery {
             concept: q.clone(),
             marker: vec![eat],
         };
-        let set = Query::marked(mq.clone())
+        let set = Query::marked(mq)
             .run(&mut kb)
             .unwrap()
             .into_necessary_set()
             .unwrap();
-        assert_eq!(set, ask_necessary_set(&mut kb, &mq).unwrap());
         assert_eq!(set, vec![pizza]);
 
         let desc = Query::concept(q)
@@ -875,7 +827,10 @@ mod tests {
             .unwrap()
             .into_description()
             .unwrap();
-        assert_eq!(desc, ask_description(&mut kb, &mq).unwrap());
+        assert!(
+            desc.is_top(),
+            "no restriction or rule constrains what PERSONs eat"
+        );
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub enum CrashPoint {
     /// fsync and any cleanup: the new generation is (probably) current
     /// but stale fold logs and unreferenced segments linger.
     AfterManifestRename,
-    /// Die after the manifest is fully durable but before stale logs,
-    /// stale segments, and legacy files are deleted.
+    /// Die after the manifest is fully durable but before stale logs
+    /// and stale segments are deleted.
     BeforeCleanup,
 }
 
@@ -211,7 +211,6 @@ struct CompactionPlan {
     manifest_file: PathBuf,
     stale_logs: Vec<PathBuf>,
     stale_segments: Vec<PathBuf>,
-    legacy_files: Vec<PathBuf>,
     report: CompactionReport,
     /// Flight recorder of the owning KB — the publish pipeline opens its
     /// own root trace on the compactor thread.
@@ -339,8 +338,7 @@ pub struct DurableKb {
     ops_since_compact: u64,
     /// Generation stamped in the active log's header.
     log_gen: u64,
-    /// Generation of the last durably published snapshot (manifest or
-    /// legacy monolithic).
+    /// Generation of the last durably published manifest.
     published_gen: u64,
     /// The manifest the published generation corresponds to, if the
     /// store is in the segmented format.
@@ -452,20 +450,18 @@ impl DurableKb {
             // already folded in, segments no longer referenced.
             sweep_stale(&dir, &stem, m);
         } else {
-            // Legacy monolithic format (pre-segmented stores): one
-            // `.snapshot` script holding everything. Replay it; the next
-            // compaction migrates the store to the segmented format.
-            let snap_path = legacy_snapshot_path(&log_path);
+            // A monolithic `.snapshot` without a manifest is a store in
+            // the pre-segmented format, which this version cannot read.
+            // Refuse it rather than open it as an empty KB whose first
+            // compaction would publish over the data.
+            let snap_path = log_path.with_extension("snapshot");
             if snap_path.exists() {
-                let script = read_file(&snap_path)?;
-                published_gen = parse_gen(&script);
-                replay(&mut kb, &script).map_err(|e| {
-                    storage_err(
-                        &snap_path,
-                        Some(published_gen),
-                        format!("replaying legacy snapshot: {e}"),
-                    )
-                })?;
+                return Err(storage_err(
+                    &snap_path,
+                    None,
+                    "monolithic snapshot without a manifest: the pre-segmented \
+                     store format is no longer supported (docs/FORMAT.md §10)",
+                ));
             }
         }
 
@@ -708,11 +704,9 @@ impl DurableKb {
         if self.log_path.exists() {
             let log_gen = parse_gen(&read_file(&self.log_path)?);
             if log_gen < self.published_gen {
-                // The active log predates the snapshot: a crash hit
-                // between snapshot publication and log truncation (the
-                // legacy monolithic pipeline). Every operation in it is
-                // already folded into the snapshot; replaying would
-                // double-apply. Reset it durably.
+                // The active log predates the published generation:
+                // every operation in it is already folded in; replaying
+                // would double-apply. Reset it durably.
                 reset_log(&self.log_path, self.published_gen)?;
                 self.log_gen = self.published_gen;
             } else {
@@ -1329,9 +1323,8 @@ impl DurableKb {
         };
 
         // Stale state superseded once the new manifest publishes: every
-        // fold log on disk plus the active log we are about to park, old
-        // segments the new manifest no longer references, and the legacy
-        // monolithic snapshot if this store was just migrated.
+        // fold log on disk plus the active log we are about to park, and
+        // old segments the new manifest no longer references.
         let mut stale_logs: Vec<PathBuf> = Vec::new();
         if let Ok(dir_entries) = std::fs::read_dir(&self.dir) {
             for entry in dir_entries.flatten() {
@@ -1353,11 +1346,6 @@ impl DurableKb {
                     .collect()
             })
             .unwrap_or_default();
-        let mut legacy_files = Vec::new();
-        let legacy = legacy_snapshot_path(&self.log_path);
-        if legacy.exists() {
-            legacy_files.push(legacy);
-        }
 
         // Rotate the log: park the active log as a sealed fold log and
         // start the next generation. A crash right after this leaves
@@ -1396,7 +1384,6 @@ impl DurableKb {
             manifest_file: manifest_path(&self.log_path),
             stale_logs,
             stale_segments,
-            legacy_files,
             report,
             recorder: Arc::clone(self.kb.flight_recorder()),
             publish_ns: self.obs.publish_ns.clone(),
@@ -1421,8 +1408,8 @@ impl Drop for DurableKb {
 /// 2. directory fsync (segments durable before anything references them);
 /// 3. manifest: tmp write → fsync → rename (**the publication point**);
 /// 4. directory fsync (the new generation is now crash-durable);
-/// 5. cleanup: delete stale fold logs, unreferenced segments, legacy
-///    snapshot; directory fsync.
+/// 5. cleanup: delete stale fold logs and unreferenced segments;
+///    directory fsync.
 fn publish_plan(plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> {
     debug_assert!(crash != Some(CrashPoint::AfterLogRotation));
     // Root trace on whichever thread runs the pipeline (the compactor
@@ -1466,12 +1453,7 @@ fn publish_plan(plan: &CompactionPlan, crash: Option<CrashPoint>) -> Result<()> 
     }
     {
         let _phase = classic_obs::span(&plan.recorder, "store.publish.cleanup");
-        for path in plan
-            .stale_logs
-            .iter()
-            .chain(&plan.stale_segments)
-            .chain(&plan.legacy_files)
-        {
+        for path in plan.stale_logs.iter().chain(&plan.stale_segments) {
             match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -1534,8 +1516,8 @@ fn sweep_tmp_files(dir: &Path, stem: &str) {
 }
 
 /// Best-effort sweep of state superseded by `manifest`: fold logs whose
-/// generation the manifest already folds in, segment files it does not
-/// reference, and the legacy monolithic snapshot.
+/// generation the manifest already folds in, and segment files it does
+/// not reference.
 fn sweep_stale(dir: &Path, stem: &str, manifest: &Manifest) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -1546,9 +1528,7 @@ fn sweep_stale(dir: &Path, stem: &str, manifest: &Manifest) {
             if gen < manifest.generation {
                 let _ = std::fs::remove_file(entry.path());
             }
-        } else if (is_segment_file(&name, stem) && !manifest.entries.iter().any(|e| e.file == name))
-            || name == format!("{stem}.snapshot")
-        {
+        } else if is_segment_file(&name, stem) && !manifest.entries.iter().any(|e| e.file == name) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -1561,11 +1541,6 @@ fn create_ind_target(line: &str) -> Option<&str> {
         .strip_prefix("(create-ind ")?
         .strip_suffix(')')
         .map(str::trim)
-}
-
-/// The pre-segmented, monolithic snapshot path (`kb.log` → `kb.snapshot`).
-fn legacy_snapshot_path(log: &Path) -> PathBuf {
-    log.with_extension("snapshot")
 }
 
 /// A throwaway file handle used to build the struct before the real
@@ -2141,40 +2116,34 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_store_is_opened_and_migrated() {
+    fn monolithic_snapshot_without_manifest_is_refused() {
         let dir = tmpdir("legacy");
         let path = dir.join("kb.log");
-        // Fabricate the pre-segmented layout: `kb.snapshot` (gen header +
-        // monolithic script) plus a fresh-generation log with a suffix.
+        // The pre-segmented layout: `kb.snapshot` (gen header + monolithic
+        // script) plus a log, and no manifest.
         let mut oracle = DurableKb::open(dir.join("oracle.log"), |_| {}).unwrap();
         populate(&mut oracle);
         let script = snapshot_to_string(oracle.kb().unwrap());
-        std::fs::write(
-            legacy_snapshot_path(&path),
-            format!("{GEN_PREFIX} 3\n{script}"),
-        )
-        .unwrap();
+        let snap = dir.join("kb.snapshot");
+        std::fs::write(&snap, format!("{GEN_PREFIX} 3\n{script}")).unwrap();
         std::fs::write(&path, format!("{GEN_PREFIX} 3\n(create-ind Bullwinkle)\n")).unwrap();
 
-        let mut store = DurableKb::open(&path, |_| {}).unwrap();
-        assert_eq!(store.generation(), 3);
-        assert!(store
-            .kb()
-            .unwrap()
-            .schema()
-            .symbols
-            .find_individual("Bullwinkle")
-            .is_some());
-        // Compaction migrates to the segmented format and removes the
-        // legacy snapshot.
-        store.compact().unwrap();
-        assert_eq!(store.generation(), 4);
-        assert!(!legacy_snapshot_path(&path).exists());
-        assert!(manifest_path(&path).exists());
-        let before = snapshot_to_string(store.kb().unwrap());
-        drop(store);
-        let reopened = DurableKb::open(&path, |_| {}).unwrap();
-        assert_eq!(before, snapshot_to_string(reopened.kb().unwrap()));
+        for paged in [false, true] {
+            let err = if paged {
+                DurableKb::open_paged(&path, |_| {})
+            } else {
+                DurableKb::open(&path, |_| {})
+            }
+            .err()
+            .expect("a monolithic snapshot must not open as an empty KB");
+            assert!(
+                err.to_string().contains(&snap.display().to_string()),
+                "error must name the snapshot file: {err}"
+            );
+        }
+        // Refusing touched nothing: the data is still there to convert.
+        assert!(snap.exists());
+        assert!(!manifest_path(&path).exists());
     }
 
     #[test]
